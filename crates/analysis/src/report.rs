@@ -153,23 +153,33 @@ fn join_layer<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
 /// Runs the full hierarchical characterization with the paper's default
 /// session timeout. `seed` feeds only the Fig 6 synthetic regeneration.
 pub fn characterize(trace: &Trace, seed: u64) -> CharacterizationReport {
-    characterize_with(trace, SessionConfig::default(), seed)
+    characterize_with(
+        trace,
+        &Sessions::identify(trace, SessionConfig::default()),
+        seed,
+    )
 }
 
-/// Runs the characterization with an explicit session configuration.
+/// Runs the characterization over an existing sessionization of `trace`;
+/// the report's session timeout is the one `sessions` was built with.
 ///
 /// The three layers are independent given the trace and the sessionization,
 /// so they run concurrently on scoped threads; each layer parallelizes
 /// further internally. Results are identical to running them sequentially.
-pub fn characterize_with(
-    trace: &Trace,
-    config: SessionConfig,
-    seed: u64,
-) -> CharacterizationReport {
-    let sessions = Sessions::identify(trace, config);
+///
+/// # Panics
+///
+/// When `sessions` was not built from `trace`: its entry order must index
+/// exactly the trace's transfers.
+pub fn characterize_with(trace: &Trace, sessions: &Sessions, seed: u64) -> CharacterizationReport {
+    assert_eq!(
+        sessions.entry_order().len(),
+        trace.len(),
+        "sessions were not built from this trace"
+    );
     let (client, session, transfer) = crossbeam::thread::scope(|s| {
-        let client = s.spawn(|| client_layer::analyze(trace, &sessions, seed));
-        let session = s.spawn(|| session_layer::analyze(trace, &sessions));
+        let client = s.spawn(|| client_layer::analyze(trace, sessions, seed));
+        let session = s.spawn(|| session_layer::analyze(trace, sessions));
         let transfer = s.spawn(|| transfer_layer::analyze(trace));
         (
             join_layer(client),
@@ -179,7 +189,7 @@ pub fn characterize_with(
     });
     CharacterizationReport {
         summary: trace.summary(),
-        session_timeout: config.timeout,
+        session_timeout: sessions.config().timeout,
         ingest: None,
         client,
         session,
@@ -235,9 +245,23 @@ mod tests {
     fn custom_timeout_respected() {
         let config = WorkloadConfig::paper().scaled(500, 43_200, 2_000);
         let trace = Generator::new(config, 67).unwrap().generate().render();
-        let strict = characterize_with(&trace, SessionConfig { timeout: 60.0 }, 1);
-        let loose = characterize_with(&trace, SessionConfig { timeout: 4_000.0 }, 1);
+        let at = |timeout| Sessions::identify(&trace, SessionConfig { timeout });
+        let strict = characterize_with(&trace, &at(60.0), 1);
+        let loose = characterize_with(&trace, &at(4_000.0), 1);
         assert!(strict.session.n_sessions >= loose.session.n_sessions);
         assert_eq!(strict.session_timeout, 60.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sessions were not built from this trace")]
+    fn sessions_of_another_trace_are_rejected() {
+        let gen = |sessions, seed| {
+            let config = WorkloadConfig::paper().scaled(300, 43_200, sessions);
+            Generator::new(config, seed).unwrap().generate().render()
+        };
+        let (trace, other) = (gen(600, 68), gen(1_200, 69));
+        assert_ne!(trace.len(), other.len());
+        let sessions = Sessions::identify(&other, SessionConfig::default());
+        characterize_with(&trace, &sessions, 1);
     }
 }

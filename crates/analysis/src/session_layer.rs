@@ -11,7 +11,7 @@ use crate::marginal::{display_transform, Marginal};
 use lsw_stats::fit::{
     fit_exponential, fit_lognormal, fit_zipf_points, ExponentialFit, LogNormalFit, ZipfFit,
 };
-use lsw_stats::par::Parallelism;
+use lsw_trace::ids::ClientId;
 use lsw_trace::session::{SessionConfig, Sessions};
 use lsw_trace::trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -41,8 +41,9 @@ impl TimeoutSweep {
 pub struct OnTimeByHour {
     /// `(hour 0..24, mean ON time seconds)`; NaN for empty hours.
     pub points: Vec<(f64, f64)>,
-    /// Correlation coefficient between start-hour mean and the hour index
-    /// magnitude — the paper reports it as weak.
+    /// Largest relative deviation `|m_h − m̄| / m̄` of an hour's mean ON
+    /// time `m_h` from the grand mean `m̄` of the non-empty hours; small
+    /// values mean the weak hour dependence the paper reports.
     pub max_relative_deviation: f64,
 }
 
@@ -83,8 +84,11 @@ pub const TIMEOUT_SWEEP: [f64; 14] = [
 ];
 
 /// Runs the full session-layer characterization.
+///
+/// `sessions` must be a sessionization of `trace`: Fig 9 is read off its
+/// transfer order. Panics when the two differ in length.
 pub fn analyze(trace: &Trace, sessions: &Sessions) -> SessionLayer {
-    let timeout_sweep = sweep_timeouts(trace, &TIMEOUT_SWEEP);
+    let timeout_sweep = timeout_sweep(trace, sessions, &TIMEOUT_SWEEP);
     let on_by_hour = on_time_by_hour(sessions);
 
     let on_raw = sessions.on_times();
@@ -123,33 +127,67 @@ pub fn analyze(trace: &Trace, sessions: &Sessions) -> SessionLayer {
     }
 }
 
-/// Fig 9: re-sessionize under each timeout.
+/// Fig 9: sessions identified at each timeout, from one sessionization
+/// at the paper's `T_o`.
 ///
-/// Each timeout's sessionization is independent, so the sweep fans out
-/// one scoped thread per timeout; inside the sweep each `identify` runs
-/// sequentially (the outer fan-out already saturates the cores).
+/// See [`timeout_sweep`] for why one pass answers every timeout exactly.
 pub fn sweep_timeouts(trace: &Trace, timeouts: &[f64]) -> TimeoutSweep {
-    let points = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = timeouts
-            .iter()
-            .map(|&t| {
-                s.spawn(move || {
-                    let config = SessionConfig { timeout: t };
-                    (
-                        t,
-                        Sessions::identify_with(trace, config, Parallelism::sequential()).len(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(point) => point,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
+    let sessions = Sessions::identify(trace, SessionConfig::default());
+    timeout_sweep(trace, &sessions, timeouts)
+}
+
+/// Fig 9 read off an existing sessionization of `trace`, at any timeout.
+///
+/// A client's gap before each transfer is its start minus the running
+/// max stop of the client's earlier transfers in canonical order. That
+/// max never resets at a split (a split needs `start > max + T`, so the
+/// new stop is already the max), so the gaps do not depend on the
+/// timeout, and `sessions(T) = clients + #{gaps > T}` — the same strict
+/// comparison the sessionizer makes. The gaps come from one walk over
+/// [`Sessions::entry_order`], which is client-contiguous and sorted by
+/// `(start, timestamp)` within each client; sorting them once answers
+/// each timeout by binary search.
+///
+/// # Panics
+///
+/// When `sessions` was not built from `trace` (the entry orders differ in
+/// length), or when a timeout is negative or NaN.
+fn timeout_sweep(trace: &Trace, sessions: &Sessions, timeouts: &[f64]) -> TimeoutSweep {
+    let entries = trace.entries();
+    let order = sessions.entry_order();
+    assert_eq!(
+        order.len(),
+        entries.len(),
+        "sessions were not built from this trace"
+    );
+    // Only positive gaps can exceed a timeout `T >= 0`.
+    let mut gaps: Vec<u32> = Vec::new();
+    let mut clients = 0usize;
+    let mut prev: Option<(ClientId, u32)> = None;
+    for &i in order {
+        let e = &entries[i as usize];
+        match prev {
+            Some((client, max_stop)) if client == e.client => {
+                if e.start > max_stop {
+                    gaps.push(e.start - max_stop);
+                }
+                prev = Some((client, max_stop.max(e.stop())));
+            }
+            _ => {
+                clients += 1;
+                prev = Some((e.client, e.stop()));
+            }
+        }
+    }
+    gaps.sort_unstable();
+    let points = timeouts
+        .iter()
+        .map(|&t| {
+            assert!(t >= 0.0, "negative session timeout");
+            let kept = gaps.partition_point(|&g| f64::from(g) <= t);
+            (t, clients + gaps.len() - kept)
+        })
+        .collect();
     TimeoutSweep { points }
 }
 

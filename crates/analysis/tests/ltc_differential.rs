@@ -10,12 +10,13 @@ use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
 use lsw_trace::ltc;
 use lsw_trace::sanitize::sanitize;
-use lsw_trace::session::SessionConfig;
+use lsw_trace::session::{SessionConfig, Sessions};
 use lsw_trace::trace::Trace;
 use lsw_trace::wms;
 
 fn characterize_json(trace: &Trace) -> String {
-    characterize_with(trace, SessionConfig { timeout: 1_500.0 }, 7).to_json()
+    let sessions = Sessions::identify(trace, SessionConfig { timeout: 1_500.0 });
+    characterize_with(trace, &sessions, 7).to_json()
 }
 
 #[test]

@@ -5,8 +5,49 @@ use lsw_analysis::marginal::{display_transform, Marginal};
 use lsw_analysis::{characterize_with, session_layer};
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
+use lsw_trace::event::{LogEntry, LogEntryBuilder};
+use lsw_trace::ids::ClientId;
 use lsw_trace::session::{SessionConfig, Sessions};
+use lsw_trace::trace::Trace;
 use proptest::prelude::*;
+
+/// Step sizes for the hand-built sweep traces: each transfer starts this
+/// far after its client's previous stop, so gaps land exactly on sweep
+/// timeouts, one second either side, at zero, or overlap the previous
+/// transfer.
+const SWEEP_STEPS: [i32; 12] = [
+    -400, -1, 0, 59, 60, 61, 400, 1_499, 1_500, 1_501, 4_000, 9_000,
+];
+
+/// Transfer durations, zero-length included.
+const SWEEP_DURATIONS: [u32; 5] = [0, 0, 1, 300, 2_000];
+
+/// A few clients, each a chain of `(step, duration, roll)` moves; a roll
+/// below 15 repeats the client's previous transfer exactly.
+fn sweep_trace(clients: Vec<Vec<(usize, usize, u32)>>) -> Trace {
+    let mut entries: Vec<LogEntry> = Vec::new();
+    for (c, moves) in clients.into_iter().enumerate() {
+        let mut prev: Option<(u32, u32)> = None;
+        for (step, dur, roll) in moves {
+            let (start, dur) = match prev {
+                Some(p) if roll < 15 => p,
+                Some((start, d)) => (
+                    (start + d).saturating_add_signed(SWEEP_STEPS[step]),
+                    SWEEP_DURATIONS[dur],
+                ),
+                None => (100 * step as u32, SWEEP_DURATIONS[dur]),
+            };
+            entries.push(
+                LogEntryBuilder::new()
+                    .span(start, dur)
+                    .client(ClientId(c as u32))
+                    .build(),
+            );
+            prev = Some((start, dur));
+        }
+    }
+    Trace::from_entries(entries, 200_000)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -20,7 +61,8 @@ proptest! {
     ) {
         let config = WorkloadConfig::paper().scaled(n_clients, 86_400, sessions);
         let trace = Generator::new(config, seed).unwrap().generate().render();
-        let report = characterize_with(&trace, SessionConfig { timeout }, seed);
+        let sessions = Sessions::identify(&trace, SessionConfig { timeout });
+        let report = characterize_with(&trace, &sessions, seed);
 
         // Table 1 consistency.
         prop_assert_eq!(report.summary.transfers, trace.len());
@@ -94,10 +136,45 @@ proptest! {
     ) {
         let config = WorkloadConfig::paper().scaled(800, 43_200, 1_500);
         let trace = Generator::new(config, seed).unwrap().generate().render();
-        let sweep = session_layer::sweep_timeouts(&trace, &[600.0, 1_500.0]);
+        let sweep = session_layer::sweep_timeouts(&trace, &session_layer::TIMEOUT_SWEEP);
+        prop_assert_eq!(sweep.points.len(), session_layer::TIMEOUT_SWEEP.len());
         for &(t, n) in &sweep.points {
             let direct = Sessions::identify(&trace, SessionConfig { timeout: t }).len();
             prop_assert_eq!(n, direct);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn timeout_sweep_matches_direct_sessionization_on_edge_cases(
+        clients in prop::collection::vec(
+            prop::collection::vec(
+                (0..SWEEP_STEPS.len(), 0..SWEEP_DURATIONS.len(), 0..100u32),
+                1..25,
+            ),
+            1..5,
+        ),
+        built_at in 0..4usize,
+    ) {
+        let trace = sweep_trace(clients);
+        let mut timeouts = session_layer::TIMEOUT_SWEEP.to_vec();
+        timeouts.extend_from_slice(&[0.0, 1.0, 1_499.0, 1_501.0, 1e9]);
+        let sweep = session_layer::sweep_timeouts(&trace, &timeouts);
+        for &(t, n) in &sweep.points {
+            let direct = Sessions::identify(&trace, SessionConfig { timeout: t }).len();
+            prop_assert_eq!(n, direct, "timeout {}", t);
+        }
+        // The layer reads Fig 9 off whatever sessionization it is handed:
+        // the gaps, and so the curve, do not depend on its timeout.
+        let built_at = [0.0, 60.0, 1_500.0, 1e9][built_at];
+        let sessions = Sessions::identify(&trace, SessionConfig { timeout: built_at });
+        let layer = session_layer::analyze(&trace, &sessions);
+        prop_assert_eq!(
+            &layer.timeout_sweep.points[..],
+            &sweep.points[..session_layer::TIMEOUT_SWEEP.len()]
+        );
     }
 }

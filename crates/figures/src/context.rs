@@ -8,11 +8,12 @@
 //!    §2.4 harvest anomaly enabled,
 //! 3. sanitize the emitted log (`lsw-trace::sanitize`),
 //! 4. sessionize at `T_o = 1500 s`,
-//! 5. run the full hierarchical characterization (`lsw-analysis`).
+//! 5. run the full hierarchical characterization (`lsw-analysis`) over
+//!    step 4's sessions, so the trace is sessionized once.
 //!
 //! Experiments then read whatever they need from the context.
 
-use lsw_analysis::{characterize, CharacterizationReport};
+use lsw_analysis::{characterize_with, CharacterizationReport};
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
 use lsw_core::Workload;
@@ -102,7 +103,7 @@ impl ReproContext {
         let out = sim.run(&workload, seed ^ 0x5157);
         let (trace, sanitize_report) = sanitize(out.trace.entries().to_vec(), horizon);
         let sessions = Sessions::identify(&trace, SessionConfig::default());
-        let report = characterize(&trace, seed ^ 0x9d2c);
+        let report = characterize_with(&trace, &sessions, seed ^ 0x9d2c);
         Self {
             scale,
             seed,

@@ -89,7 +89,7 @@ use lsw::trace::event::LogEntry;
 use lsw::trace::ltc;
 use lsw::trace::sanitize::sanitize;
 use lsw::trace::schedule::Schedule;
-use lsw::trace::session::SessionConfig;
+use lsw::trace::session::{SessionConfig, Sessions};
 use lsw::trace::wms;
 use std::path::Path;
 use std::process::exit;
@@ -420,7 +420,8 @@ fn cmd_characterize(args: &[String]) {
         lsw::stats::paper::SESSION_TIMEOUT_SECS,
         "--timeout",
     );
-    let report = characterize_with(&trace, SessionConfig { timeout }, 0).with_ingest(ingest);
+    let sessions = Sessions::identify(&trace, SessionConfig { timeout });
+    let report = characterize_with(&trace, &sessions, 0).with_ingest(ingest);
     println!("{}", report.headline());
     if let Some(json_path) = flag_value(args, "--json") {
         std::fs::write(json_path, report.to_json()).unwrap_or_else(|e| {
@@ -499,7 +500,8 @@ fn cmd_analyze(args: &[String]) {
         lsw::stats::paper::SESSION_TIMEOUT_SECS,
         "--timeout",
     );
-    let batch = characterize_with(&trace, SessionConfig { timeout }, 0).with_ingest(ingest);
+    let sessions = Sessions::identify(&trace, SessionConfig { timeout });
+    let batch = characterize_with(&trace, &sessions, 0).with_ingest(ingest);
 
     if comparing {
         // Pin the streaming horizon to the batch one so both pipelines

@@ -142,9 +142,9 @@ impl Sessions {
 
     /// Identifies sessions with an explicit worker count. The result is
     /// identical at every worker count: transfers are ordered by the
-    /// canonical total key `(client, start, stop, index)`, the ordered
-    /// index list is partitioned at client boundaries, and each worker
-    /// sessionizes whole clients independently.
+    /// canonical total key `(client, start, timestamp, index)`, the
+    /// ordered index list is partitioned at client boundaries, and each
+    /// worker sessionizes whole clients independently.
     pub fn identify_with(trace: &Trace, config: SessionConfig, par: Parallelism) -> Self {
         Self::identify_view(&trace.entries(), config, par)
     }
@@ -171,8 +171,9 @@ impl Sessions {
     /// The shared core behind both identify paths.
     fn identify_view<V: TransferView>(view: &V, config: SessionConfig, par: Parallelism) -> Self {
         assert!(config.timeout >= 0.0, "negative session timeout");
-        // Canonical order: (client, start, stop, index) is a total key, so
-        // the unstable sort is deterministic even on duplicate entries.
+        // Canonical order: (client, start, timestamp, index) is a total
+        // key, so the unstable sort is deterministic even on duplicate
+        // entries.
         let mut order: Vec<u32> = (0..view.len() as u32).collect();
         order.sort_unstable_by_key(|&i| (view.client(i), view.start(i), view.timestamp(i), i));
 
@@ -245,6 +246,11 @@ impl Sessions {
     }
 
     /// The session-grouped transfer index order (into `Trace::entries()`).
+    ///
+    /// This is the canonical `(client, start, timestamp, index)` order at
+    /// every worker count: each client's transfers are contiguous and
+    /// sorted by `(start, timestamp)`. The Fig 9 timeout sweep reads the
+    /// per-client gaps off it without sorting again.
     pub fn entry_order(&self) -> &[u32] {
         &self.entry_order
     }
@@ -611,6 +617,49 @@ mod tests {
                 seq.entry_order(),
                 "entry order differs at {workers} workers"
             );
+        }
+    }
+
+    #[test]
+    fn entry_order_is_client_contiguous_and_time_sorted() {
+        // Interleaved clients, duplicate starts (ordered by timestamp) and
+        // exact duplicates, so every tiebreak of the canonical key shows.
+        let mut entries = Vec::new();
+        for c in 0..29u32 {
+            for k in 0..11u32 {
+                let start = (k * 1_300 + c * 17) % 9_000;
+                entries.push(entry(c, start, 5 + (k % 4) * 40));
+                if k % 3 == 0 {
+                    entries.push(entry(c, start, 5 + (k % 4) * 40));
+                    entries.push(entry(c, start, 1));
+                }
+            }
+        }
+        let t = Trace::from_entries(entries, 86_400);
+        for workers in [1, 3, 8] {
+            let s = Sessions::identify_with(&t, cfg(1500.0), Parallelism::fixed(workers));
+            let order = s.entry_order();
+            assert_eq!(order.len(), t.len());
+            // Clients whose run has started; a client seen again is split.
+            let mut seen =
+                std::collections::BTreeSet::from([t.entries()[order[0] as usize].client]);
+            for w in order.windows(2) {
+                let (a, b) = (&t.entries()[w[0] as usize], &t.entries()[w[1] as usize]);
+                if a.client == b.client {
+                    assert!(
+                        (a.start, a.timestamp) <= (b.start, b.timestamp),
+                        "client {:?} out of order at {workers} workers",
+                        a.client
+                    );
+                } else {
+                    assert!(
+                        seen.insert(b.client),
+                        "client {:?} split at {workers} workers",
+                        b.client
+                    );
+                }
+            }
+            assert_eq!(seen.len(), 29, "workers = {workers}");
         }
     }
 
