@@ -1,7 +1,6 @@
 //! `bench-json` — machine-readable throughput benchmark.
 //!
-//! Times the hot pipeline stages with `std::time::Instant` (no Criterion
-//! harness, so it runs in seconds and emits one JSON file) and writes
+//! Times the hot pipeline stages with `std::time::Instant` and writes
 //! `BENCH_throughput.json` with elements/sec per stage, the thread counts
 //! used, the host core count, and the git sha. The headline comparison is
 //! workload generation at 1 thread vs N threads: on a host with >= 4 cores
@@ -22,8 +21,7 @@ use std::time::Instant;
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
 use lsw_replay::{
-    drive, DataPlane, DriverConfig, Registry, ReplayServer, ServerConfig, SlowClientPolicy,
-    WallClock,
+    drive, DriverConfig, Registry, ReplayServer, ServerConfig, SlowClientPolicy, WallClock,
 };
 use lsw_stats::par::Parallelism;
 use lsw_trace::concurrency::ConcurrencyProfile;
@@ -38,9 +36,9 @@ const ITERS: usize = 3;
 /// Live replay regime: 512 concurrent fat feeds, each streaming 20
 /// trace-MB/s for 800 trace seconds at 400x time compression — a ~2 s
 /// wall window moving ~20 GB of wire payload through one server shard.
-/// Deep saturation is the point: in pacing-bound regimes both data
-/// planes just follow the schedule and measure the same, so the stage
-/// would not regress when the reactor does.
+/// Deep saturation is the point: in a pacing-bound regime the server
+/// just follows the schedule, so the stage would not regress when the
+/// data plane does.
 const REPLAY_CONNS: u32 = 512;
 /// Trace seconds each replay transfer runs for.
 const REPLAY_DUR: u32 = 800;
@@ -73,9 +71,9 @@ fn replay_schedule() -> Schedule {
 /// One closed-loop live replay run over real sockets; returns the wire
 /// payload bytes received plus the server's pacing error p50/p99 in
 /// microseconds. Panics if the loop did not close cleanly (a refused
-/// connect, admission rejection, or short transfer would make the two
-/// planes' byte counts incomparable).
-fn replay_run(plane: DataPlane) -> (u64, f64, f64) {
+/// connect, admission rejection, or short transfer would make the
+/// served byte count incomparable run to run).
+fn replay_run() -> (u64, f64, f64) {
     let schedule = replay_schedule();
     let clock = Arc::new(WallClock::start());
     let registry = Arc::new(Registry::new());
@@ -83,7 +81,6 @@ fn replay_run(plane: DataPlane) -> (u64, f64, f64) {
         ServerConfig {
             compression: REPLAY_COMPRESSION,
             workers: 1,
-            data_plane: plane,
             slow_policy: SlowClientPolicy::Backpressure,
             send_buffer: u64::MAX / 4,
             lookahead: schedule.max_duration(),
@@ -286,17 +283,25 @@ impl Stage {
     }
 }
 
-/// Pull `(stage, threads, elements_per_sec)` triples plus the recorded
-/// generate speedup (absent or `null` on single-CPU hosts) out of a
-/// benchmark JSON file. Field-order tolerant but schema-exact: it reads
-/// the same hand-formatted shape `main` writes.
-fn read_baseline(path: &str) -> (Vec<(String, u64, f64)>, Option<f64>) {
+/// What `--check` reads back from a committed benchmark file.
+struct Baseline {
+    /// `(stage, threads, elements_per_sec)` per stage.
+    stages: Vec<(String, u64, f64)>,
+    /// Recorded generate speedup (absent or `null` on single-CPU hosts).
+    generate_speedup: Option<f64>,
+    /// CPU count of the host that wrote the baseline.
+    host_cpus: Option<u64>,
+}
+
+/// Reads a benchmark JSON file. Field-order tolerant but schema-exact:
+/// it reads the same hand-formatted shape `main` writes.
+fn read_baseline(path: &str) -> Baseline {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
     let value: serde_json::Value =
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e}"));
     let stages = value["stages"].as_array().expect("baseline has stages[]");
-    let triples = stages
+    let stages = stages
         .iter()
         .map(|s| {
             (
@@ -306,7 +311,13 @@ fn read_baseline(path: &str) -> (Vec<(String, u64, f64)>, Option<f64>) {
             )
         })
         .collect();
-    (triples, value["generate_speedup"].as_f64())
+    Baseline {
+        stages,
+        // The vendored `as_f64` reads `null` as NaN; a NaN floor would
+        // pass vacuously instead of reporting the skip.
+        generate_speedup: value["generate_speedup"].as_f64().filter(|s| s.is_finite()),
+        host_cpus: value["host_cpus"].as_u64(),
+    }
 }
 
 /// Allowed regression before `--check` fails: a stage may run up to 25%
@@ -442,20 +453,11 @@ fn main() {
     });
     assert_eq!(des_pops as usize, n_transfers * 2, "every event pops once");
 
-    // Live replay over real loopback sockets, reactor plane vs the
-    // tick-scan baseline at equal connection count. elements = wire
-    // payload bytes received by the closed-loop driver, so
-    // elements_per_sec is served bytes/sec and the two stages' ratio is
-    // the reactor's speedup. Three threads move the bytes: one server
-    // shard plus two driver workers.
-    let ((reactor_bytes, reactor_p50, reactor_p99), reactor_secs, reactor_cpu) =
-        time(|| replay_run(DataPlane::Reactor));
-    let ((tick_bytes, tick_p50, tick_p99), tick_secs, tick_cpu) =
-        time(|| replay_run(DataPlane::Tick));
-    assert_eq!(
-        reactor_bytes, tick_bytes,
-        "both data planes must serve the same wire budget"
-    );
+    // Live replay over real loopback sockets. elements = wire payload
+    // bytes received by the closed-loop driver, so elements_per_sec is
+    // served bytes/sec. Three threads move the bytes: one server shard
+    // plus two driver workers.
+    let ((replay_bytes, pacing_p50, pacing_p99), replay_secs, replay_cpu) = time(replay_run);
 
     // Hierarchical fan-out over real sockets: origin + 2 relays, 256
     // clients on 4 hot objects. elements = wire payload bytes delivered
@@ -552,17 +554,9 @@ fn main() {
         Stage {
             name: "replay_serve",
             threads: 3,
-            elements: reactor_bytes as usize,
-            secs: reactor_secs,
-            cpu_secs: reactor_cpu,
-            sketch_bytes: None,
-        },
-        Stage {
-            name: "replay_serve_tick",
-            threads: 3,
-            elements: tick_bytes as usize,
-            secs: tick_secs,
-            cpu_secs: tick_cpu,
+            elements: replay_bytes as usize,
+            secs: replay_secs,
+            cpu_secs: replay_cpu,
             sketch_bytes: None,
         },
         Stage {
@@ -586,21 +580,15 @@ fn main() {
     // is pure noise, so single-CPU hosts record `null` instead of ~1.0.
     let speedup = (host_cpus > 1).then(|| stages[1].rate() / stages[0].rate());
     let speedup_json = speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.3}"));
-    // Served-bytes/sec ratio of the epoll reactor plane over the
-    // tick-scan baseline at equal connection count. Wall-clock based on
-    // purpose: both runs move the same bytes, so the ratio is exactly
-    // the throughput gain a caller sees.
-    let replay_speedup = (reactor_bytes as f64 / reactor_secs) / (tick_bytes as f64 / tick_secs);
 
     let body: Vec<String> = stages.iter().map(Stage::json).collect();
     let json = format!(
         "{{\n  \"git_sha\": \"{}\",\n  \"host_cpus\": {},\n  \"parallel_threads\": {},\n  \
-         \"generate_speedup\": {},\n  \"replay_speedup\": {:.3},\n  \"stages\": [\n{}\n  ]\n}}\n",
+         \"generate_speedup\": {},\n  \"stages\": [\n{}\n  ]\n}}\n",
         git_sha(),
         host_cpus,
         par_threads,
         speedup_json,
-        replay_speedup,
         body.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
@@ -619,11 +607,7 @@ fn main() {
             s.rate()
         );
     }
-    eprintln!(
-        "  replay reactor/tick = {replay_speedup:.2}x served bytes/s \
-         (pacing p50/p99: reactor {reactor_p50:.0}/{reactor_p99:.0} us, \
-         tick {tick_p50:.0}/{tick_p99:.0} us)"
-    );
+    eprintln!("  replay pacing error p50/p99: {pacing_p50:.0}/{pacing_p99:.0} us");
     match speedup {
         Some(s) => eprintln!(
             "  generate speedup at {par_threads} threads: {s:.2}x \
@@ -639,18 +623,32 @@ fn main() {
     eprintln!("wrote {out_path}");
 
     if let Some(baseline_path) = check_path {
-        let (baseline, base_speedup) = read_baseline(&baseline_path);
+        let baseline = read_baseline(&baseline_path);
+        // Host facts sit beside the verdicts, never in them: a baseline
+        // from another host still gates every stage at the same floor.
+        let base_cpus = baseline
+            .host_cpus
+            .map_or_else(|| "unknown".to_string(), |n| n.to_string());
+        let host_note = if baseline.host_cpus == Some(host_cpus as u64) {
+            ""
+        } else {
+            " (host differs)"
+        };
+        eprintln!(
+            "check against {baseline_path}: baseline host_cpus={base_cpus}, \
+             this host host_cpus={host_cpus}"
+        );
         let mut failures = Vec::new();
         // The parallel-generation ratio is only meaningful when both the
         // baseline host and this host could actually run threads in
         // parallel; a single-CPU run records (and checks against) null.
-        match (speedup, base_speedup) {
+        match (speedup, baseline.generate_speedup) {
             (Some(s), Some(base)) => {
                 let floor = base * (1.0 - CHECK_TOLERANCE);
                 let verdict = if s < floor { "FAIL" } else { "ok" };
                 eprintln!(
                     "  check generate_speedup {s:>12.2} vs baseline {base:>12.2} \
-                     (floor {floor:>12.2}) {verdict}"
+                     (floor {floor:>12.2}) {verdict}{host_note}"
                 );
                 if s < floor {
                     failures.push(format!("generate speedup regressed: {s:.2}x < {floor:.2}x"));
@@ -658,7 +656,7 @@ fn main() {
             }
             _ => eprintln!("  check generate_speedup skipped (single-CPU host or null baseline)"),
         }
-        for (name, threads, base_rate) in &baseline {
+        for (name, threads, base_rate) in &baseline.stages {
             let Some(stage) = stages
                 .iter()
                 .find(|s| s.name == name && s.threads == *threads as usize)
@@ -669,13 +667,14 @@ fn main() {
             let floor = base_rate * (1.0 - CHECK_TOLERANCE);
             let verdict = if stage.rate() < floor { "FAIL" } else { "ok" };
             eprintln!(
-                "  check {:<13} threads={:<2} {:>12.0} vs baseline {:>12.0} (floor {:>12.0}) {}",
+                "  check {:<13} threads={:<2} {:>12.0} vs baseline {:>12.0} (floor {:>12.0}) {}{}",
                 name,
                 threads,
                 stage.rate(),
                 base_rate,
                 floor,
-                verdict
+                verdict,
+                host_note
             );
             if stage.rate() < floor {
                 failures.push(format!(

@@ -38,7 +38,7 @@ use crate::ring::{Broadcast, Cursor, Poll as RingPoll};
 use lsw_replay::clock::{trace_to_nanos, Nanos, WallClock};
 use lsw_replay::metrics::{Counter, Gauge, LogHistogram, Registry};
 use lsw_replay::payload::{self, MAX_SLICES};
-use lsw_replay::proto::{self, MAX_REQUEST_LINE};
+use lsw_replay::proto::{self, ReqRead};
 use lsw_replay::slab::{Key, Slab};
 use lsw_replay::wheel::{TimerId, TimingWheel};
 use lsw_replay::{SlowClientPolicy, STATUS_REJECTED, STATUS_TRUNCATED};
@@ -714,58 +714,6 @@ fn step_subscribers(
     }
 }
 
-/// What one round of request-line reading produced.
-enum ReqRead {
-    /// Still waiting for the newline.
-    Pending,
-    /// A complete request line (without the newline).
-    Line(String),
-    /// The peer vanished or overflowed the line budget.
-    Dead,
-}
-
-/// Reads request bytes until the newline, `WouldBlock`, or failure. The
-/// buffer is bounded by [`MAX_REQUEST_LINE`] — growth past it is a
-/// protocol violation, not an allocation.
-fn read_request_line(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReqRead {
-    let mut scratch = [0u8; 512];
-    loop {
-        match stream.read(&mut scratch) {
-            Ok(0) => return ReqRead::Dead,
-            Ok(n) => {
-                if buf.len() + n > MAX_REQUEST_LINE {
-                    return ReqRead::Dead;
-                }
-                buf.extend_from_slice(&scratch[..n]);
-                if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                    let line = String::from_utf8_lossy(&buf[..nl])
-                        .trim_end_matches('\r')
-                        .to_owned();
-                    return ReqRead::Line(line);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReqRead::Pending,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReqRead::Dead,
-        }
-    }
-}
-
-/// Drains stray readable bytes on a streaming client; returns true when
-/// the peer has hung up (read EOF or hard error).
-fn peer_gone(stream: &mut TcpStream) -> bool {
-    let mut sink = [0u8; 4096];
-    loop {
-        match stream.read(&mut sink) {
-            Ok(0) => return true,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return true,
-        }
-    }
-}
-
 /// Advances a client connection (request parse, then ring-driven
 /// serving); returns true when its slot can be reclaimed.
 #[allow(clippy::too_many_arguments)]
@@ -784,9 +732,9 @@ fn advance_client(
             return false;
         };
         match &mut conn.state {
-            ConnState::Request { buf } => read_request_line(&mut conn.stream, buf),
+            ConnState::Request { buf } => proto::read_request_line(&mut conn.stream, buf),
             ConnState::Client(_) => {
-                if readable && peer_gone(&mut conn.stream) {
+                if readable && proto::peer_gone(&mut conn.stream) {
                     if let ConnState::Client(s) = &conn.state {
                         shared.finish_client(s, STATUS_TRUNCATED);
                         shared.metrics.truncated.inc();
@@ -1087,53 +1035,35 @@ fn advance_upstream(
         match &mut conn.state {
             ConnState::UpstreamHeader { object, buf } => {
                 let object = *object;
-                match conn.stream.read(scratch) {
-                    Ok(0) => {
+                let line = match proto::read_request_line(&mut conn.stream, buf) {
+                    ReqRead::Pending => return false,
+                    ReqRead::Dead => {
                         end_feed(feeds, object, pushed);
                         return true;
                     }
-                    Ok(n) => {
-                        if buf.len() + n > MAX_REQUEST_LINE && !scratch[..n].contains(&b'\n') {
-                            end_feed(feeds, object, pushed);
-                            return true;
-                        }
-                        buf.extend_from_slice(&scratch[..n]);
-                        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-                            continue;
-                        };
-                        let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
-                        let Some(expected) = line
-                            .trim_end_matches('\r')
-                            .strip_prefix("OK ")
-                            .and_then(|v| v.parse::<u64>().ok())
-                        else {
-                            // BUSY: the origin's admission refused the
-                            // subscription. Closed + incomplete — this
-                            // relay's clients for the object truncate.
-                            shared.metrics.upstream_busy.inc();
-                            end_feed(feeds, object, pushed);
-                            return true;
-                        };
-                        // Bytes past the status line are already payload.
-                        let rest = (buf.len() - nl - 1) as u64;
-                        if let Some(feed) = feeds.get_mut(&object) {
-                            feed.expected = Some(expected);
-                            if rest > 0 {
-                                feed.ring.push(rest);
-                                feed.received += rest;
-                                shared.metrics.upstream_bytes.add(rest);
-                                *pushed = Some(object);
-                            }
-                        }
-                        conn.state = ConnState::UpstreamBody { object };
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        end_feed(feeds, object, pushed);
-                        return true;
+                    ReqRead::Line(line) => line,
+                };
+                let Some(expected) = line.strip_prefix("OK ").and_then(|v| v.parse::<u64>().ok())
+                else {
+                    // BUSY: the origin's admission refused the
+                    // subscription. Closed + incomplete — this relay's
+                    // clients for the object truncate.
+                    shared.metrics.upstream_busy.inc();
+                    end_feed(feeds, object, pushed);
+                    return true;
+                };
+                // Bytes past the status line are already payload.
+                let rest = buf.len() as u64;
+                if let Some(feed) = feeds.get_mut(&object) {
+                    feed.expected = Some(expected);
+                    if rest > 0 {
+                        feed.ring.push(rest);
+                        feed.received += rest;
+                        shared.metrics.upstream_bytes.add(rest);
+                        *pushed = Some(object);
                     }
                 }
+                conn.state = ConnState::UpstreamBody { object };
             }
             ConnState::UpstreamBody { object } => {
                 let object = *object;

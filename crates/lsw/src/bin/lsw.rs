@@ -14,13 +14,16 @@
 //! lsw replay      LOG [--format auto|wms|ltc] [--compression C]
 //!                 [--virtual-time] [--admission N] [--workers N]
 //!                 [--topology origin[:R[:as|country|client]]]
-//!                 [--origin-admission N]
-//!                 [--data-plane reactor|tick] [--expose SECS]
+//!                 [--origin-admission N] [--expose SECS]
 //!                 [--json FILE] [--no-assert]
 //! lsw serve       LOG [--format auto|wms|ltc] [--listen ADDR]
 //!                 [--compression C] [--admission N] [--workers N]
-//!                 [--data-plane reactor|tick] [--for SECS] [--expose SECS]
+//!                 [--for SECS] [--expose SECS]
 //! ```
+//!
+//! Each command accepts exactly the flags on its usage line: any other
+//! `--flag` (a typo, or a flag a command does not take) exits 2 naming
+//! it, before any file is opened.
 //!
 //! `analyze` is the streaming front end: with `--stream` the log is
 //! consumed one chunk at a time through the bounded-memory sketch engine
@@ -52,9 +55,6 @@
 //! paced serving harness standalone on `--listen` for `--for` seconds so
 //! an external driver can connect. `--admission N` caps concurrent
 //! transfers (`RejectAbove`); 0 or absent accepts everything.
-//! `--data-plane` picks the server's pacing engine: `reactor` (default,
-//! epoll readiness + timing wheel) or `tick` (the 2 ms scan baseline) —
-//! same protocol, admission, and closed-loop semantics either way.
 //!
 //! `--topology origin:R[:key]` interposes `R` relay nodes between the
 //! origin and the trace clients (`lsw_edge`): each relay subscribes to
@@ -94,38 +94,82 @@ use lsw::trace::wms;
 use std::path::Path;
 use std::process::exit;
 
+/// Each command, its entry point, and its usage line: the help text,
+/// and the only flags the command accepts.
+type Command = (&'static str, fn(&[String]), &'static str);
+
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        cmd_generate,
+        "[--days D] [--clients N] [--sessions N] [--seed S] [--threads T] \
+         [--sampler cdf|alias] [--simulate] [--scale-matched] [--emit wms|ltc] --out LOG",
+    ),
+    (
+        "characterize",
+        cmd_characterize,
+        "LOG [--format auto|wms|ltc] [--horizon SECS] [--timeout TO] [--json FILE]",
+    ),
+    (
+        "analyze",
+        cmd_analyze,
+        "LOG [--format auto|wms|ltc] [--stream] [--compare] [--shards N] \
+         [--memory-budget BYTES] [--horizon SECS] [--timeout TO] [--json FILE]",
+    ),
+    (
+        "summary",
+        cmd_summary,
+        "LOG [--format auto|wms|ltc] [--horizon SECS]",
+    ),
+    ("convert", cmd_convert, "IN OUT [--format auto|wms|ltc]"),
+    (
+        "replay",
+        cmd_replay,
+        "LOG [--format auto|wms|ltc] [--compression C] [--virtual-time] [--admission N] \
+         [--workers N] [--topology origin[:R[:as|country|client]]] [--origin-admission N] \
+         [--expose SECS] [--json FILE] [--no-assert]",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "LOG [--format auto|wms|ltc] [--listen ADDR] [--compression C] [--admission N] \
+         [--workers N] [--for SECS] [--expose SECS]",
+    ),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("summary") => cmd_summary(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            eprintln!(
-                "usage:\n  lsw generate [--days D] [--clients N] [--sessions N] [--seed S] \
-                 [--threads T] [--sampler cdf|alias] [--simulate] [--scale-matched] \
-                 [--emit wms|ltc] --out LOG\n  lsw characterize LOG [--format auto|wms|ltc] \
-                 [--horizon SECS] [--timeout TO] [--json FILE]\n  lsw analyze LOG \
-                 [--format auto|wms|ltc] [--stream] \
-                 [--compare] [--shards N] [--memory-budget BYTES] [--horizon SECS] [--timeout TO] \
-                 [--json FILE]\n  lsw summary LOG [--format auto|wms|ltc] [--horizon SECS]\n  \
-                 lsw convert IN OUT [--format auto|wms|ltc]\n  lsw replay LOG \
-                 [--format auto|wms|ltc] [--compression C] [--virtual-time] [--admission N] \
-                 [--workers N] [--topology origin[:R[:as|country|client]]] \
-                 [--origin-admission N] [--data-plane reactor|tick] [--expose SECS] \
-                 [--json FILE] [--no-assert]\n  lsw serve LOG \
-                 [--format auto|wms|ltc] [--listen ADDR] [--compression C] [--admission N] \
-                 [--workers N] [--data-plane reactor|tick] [--for SECS] [--expose SECS]"
-            );
+    let cmd = args.first().map_or("--help", String::as_str);
+    if cmd == "--help" || cmd == "-h" {
+        eprintln!("usage:");
+        for (name, _, usage) in COMMANDS {
+            eprintln!("  lsw {name} {usage}");
         }
-        Some(other) => {
-            eprintln!("unknown command {other:?}; try --help");
-            exit(2);
-        }
+        return;
+    }
+    let Some(&(_, run, usage)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        eprintln!("unknown command {cmd:?}; try --help");
+        exit(2);
+    };
+    reject_unknown_flags(cmd, usage, &args[1..]);
+    run(&args[1..]);
+}
+
+/// Exits 2 on the first `--flag` that `usage` does not list, so a typo
+/// or a flag the command does not take never runs with defaults.
+fn reject_unknown_flags(cmd: &str, usage: &str, args: &[String]) {
+    let known: Vec<&str> = usage
+        .split_ascii_whitespace()
+        .map(|w| w.trim_start_matches('['))
+        .filter(|w| w.starts_with("--"))
+        .map(|w| w.trim_end_matches(']'))
+        .collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        eprintln!("lsw {cmd}: unknown flag {bad}\nusage: lsw {cmd} {usage}");
+        exit(2);
     }
 }
 
@@ -594,17 +638,6 @@ fn topology_flag(args: &[String]) -> lsw::edge::Topology {
     }
 }
 
-fn data_plane_flag(args: &[String]) -> lsw::replay::DataPlane {
-    match flag_value(args, "--data-plane") {
-        None | Some("reactor") => lsw::replay::DataPlane::Reactor,
-        Some("tick") => lsw::replay::DataPlane::Tick,
-        Some(other) => {
-            eprintln!("unknown --data-plane {other:?}; expected reactor or tick");
-            exit(2);
-        }
-    }
-}
-
 /// A background thread printing metric snapshots to stderr on a cadence.
 struct Exposition {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -764,7 +797,6 @@ fn run_replay_edge(
                 compression,
                 admission: origin_admission,
                 workers,
-                data_plane: data_plane_flag(args),
                 stream: stream_cfg,
                 ..ServerConfig::default()
             },
@@ -855,7 +887,6 @@ fn cmd_replay(args: &[String]) {
                 compression,
                 admission,
                 workers,
-                data_plane: data_plane_flag(args),
                 stream: stream_cfg,
                 lookahead: schedule.max_duration(),
                 ..ServerConfig::default()
@@ -930,7 +961,6 @@ fn cmd_serve(args: &[String]) {
             compression,
             admission: admission_flag(args, "--admission"),
             workers,
-            data_plane: data_plane_flag(args),
             lookahead: schedule.max_duration(),
             ..ServerConfig::default()
         },

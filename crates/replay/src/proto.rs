@@ -13,13 +13,80 @@
 //! original trace fields ride the request so the server's completion log
 //! (the characterization tap) is in trace coordinates even though the
 //! wire traffic is time- and byte-compressed.
+//!
+//! Every node that accepts LSW1 connections — the origin's reactor
+//! shards and each edge relay — reads them through the two helpers
+//! here: [`read_request_line`] for the bounded line (the relay also
+//! reads the origin's status line with it) and [`peer_gone`] for the
+//! stray bytes a streaming subscriber should never send.
 
 use crate::clock::Nanos;
 use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::schedule::ScheduledTransfer;
+use std::io::{self, Read};
 
-/// Maximum request line length a server will buffer before giving up.
+/// Maximum request line length a server will buffer before giving up,
+/// newline included.
 pub const MAX_REQUEST_LINE: usize = 256;
+
+/// What one round of line reading produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReqRead {
+    /// Still waiting for the newline (the source would block).
+    Pending,
+    /// A complete line, without its `\n` or `\r\n`.
+    Line(String),
+    /// The peer closed, failed, or overflowed [`MAX_REQUEST_LINE`].
+    Dead,
+}
+
+/// Reads line bytes into `buf` until the newline, `WouldBlock`, or
+/// failure. Each read asks for at most the room left under
+/// [`MAX_REQUEST_LINE`], so `buf` never grows past it, even
+/// transiently; a full buffer without a newline is a protocol
+/// violation. On [`ReqRead::Line`], `buf` keeps whatever followed the
+/// newline (payload, when this is a status line).
+pub fn read_request_line(r: &mut impl Read, buf: &mut Vec<u8>) -> ReqRead {
+    let mut scratch = [0u8; MAX_REQUEST_LINE];
+    loop {
+        let room = MAX_REQUEST_LINE.saturating_sub(buf.len());
+        if room == 0 {
+            return ReqRead::Dead;
+        }
+        match r.read(&mut scratch[..room]) {
+            Ok(0) => return ReqRead::Dead,
+            Ok(n) => {
+                buf.extend_from_slice(&scratch[..n]);
+                if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
+                    let line = String::from_utf8_lossy(&buf[..nl])
+                        .trim_end_matches('\r')
+                        .to_owned();
+                    buf.drain(..=nl);
+                    return ReqRead::Line(line);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReqRead::Pending,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return ReqRead::Dead,
+        }
+    }
+}
+
+/// Drains stray readable bytes from a streaming subscriber (which never
+/// legitimately sends after its request); returns true when the peer
+/// has hung up (read EOF or a hard error).
+pub fn peer_gone(r: &mut impl Read) -> bool {
+    let mut sink = [0u8; 4096];
+    loop {
+        match r.read(&mut sink) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return true,
+        }
+    }
+}
 
 /// Formats the request line for one scheduled transfer (no newline).
 pub fn encode_request(t: &ScheduledTransfer) -> String {
@@ -108,6 +175,161 @@ pub fn pacing_deadline(rate: u64, bytes: u64) -> Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// One scripted `read` result.
+    enum Step {
+        Data(Vec<u8>),
+        Fail(io::ErrorKind),
+    }
+
+    /// A fake socket replaying a script of reads; an exhausted script
+    /// reads as EOF. A data step longer than the caller's buffer is
+    /// served across several reads.
+    struct Script(VecDeque<Step>);
+
+    impl Script {
+        fn new(steps: impl IntoIterator<Item = Step>) -> Self {
+            Self(steps.into_iter().collect())
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Step::Fail(kind)) => Err(kind.into()),
+                Some(Step::Data(mut d)) => {
+                    let n = d.len().min(out.len());
+                    out[..n].copy_from_slice(&d[..n]);
+                    if n < d.len() {
+                        self.0.push_front(Step::Data(d.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn data(bytes: &[u8]) -> Step {
+        Step::Data(bytes.to_vec())
+    }
+
+    fn read_line(steps: impl IntoIterator<Item = Step>) -> (ReqRead, Vec<u8>) {
+        let mut buf = Vec::new();
+        let got = read_request_line(&mut Script::new(steps), &mut buf);
+        (got, buf)
+    }
+
+    fn line(s: &str) -> ReqRead {
+        ReqRead::Line(s.to_owned())
+    }
+
+    #[test]
+    fn line_split_across_reads_is_joined() {
+        let (got, _) = read_line([data(b"LSW1 1"), data(b" 2"), data(b" 3\n")]);
+        assert_eq!(got, line("LSW1 1 2 3"));
+
+        // Split across readiness rounds: the partial line waits in buf.
+        let mut buf = Vec::new();
+        let mut src = Script::new([data(b"LSW1 1"), Step::Fail(io::ErrorKind::WouldBlock)]);
+        assert_eq!(read_request_line(&mut src, &mut buf), ReqRead::Pending);
+        assert_eq!(buf, b"LSW1 1");
+        let mut src = Script::new([data(b" 2\n")]);
+        assert_eq!(read_request_line(&mut src, &mut buf), line("LSW1 1 2"));
+    }
+
+    #[test]
+    fn crlf_is_trimmed() {
+        assert_eq!(read_line([data(b"LSW1 x\r\n")]).0, line("LSW1 x"));
+        assert_eq!(read_line([data(b"\r\n")]).0, line(""));
+    }
+
+    #[test]
+    fn bytes_after_the_newline_stay_in_the_buffer() {
+        let (got, rest) = read_line([data(b"OK 5\nab")]);
+        assert_eq!(got, line("OK 5"));
+        assert_eq!(rest, b"ab");
+    }
+
+    #[test]
+    fn line_budget_is_exact() {
+        // MAX_REQUEST_LINE bytes, newline included: accepted, even when
+        // the peer sends more right behind it.
+        let mut exact = vec![b'a'; MAX_REQUEST_LINE - 1];
+        exact.push(b'\n');
+        let (got, _) = read_line([Step::Data(exact.clone())]);
+        assert_eq!(got, line(&"a".repeat(MAX_REQUEST_LINE - 1)));
+        exact.extend_from_slice(b"stray");
+        assert_eq!(
+            read_line([Step::Data(exact)]).0,
+            line(&"a".repeat(MAX_REQUEST_LINE - 1))
+        );
+
+        // One byte more: rejected, in one read or trickled.
+        let mut over = vec![b'a'; MAX_REQUEST_LINE];
+        over.push(b'\n');
+        assert_eq!(read_line([Step::Data(over.clone())]).0, ReqRead::Dead);
+        let trickle = over.chunks(7).map(data);
+        let (got, buf) = read_line(trickle);
+        assert_eq!(got, ReqRead::Dead);
+        assert_eq!(
+            buf.len(),
+            MAX_REQUEST_LINE,
+            "buffer never passes the budget"
+        );
+    }
+
+    #[test]
+    fn eof_before_the_newline_is_dead() {
+        assert_eq!(read_line([data(b"LSW1 1 2")]).0, ReqRead::Dead);
+        assert_eq!(read_line([]).0, ReqRead::Dead);
+    }
+
+    #[test]
+    fn hard_errors_are_dead() {
+        let (got, _) = read_line([data(b"LSW1"), Step::Fail(io::ErrorKind::ConnectionReset)]);
+        assert_eq!(got, ReqRead::Dead);
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let (got, _) = read_line([
+            Step::Fail(io::ErrorKind::Interrupted),
+            data(b"LSW1"),
+            Step::Fail(io::ErrorKind::Interrupted),
+            data(b" 9\n"),
+        ]);
+        assert_eq!(got, line("LSW1 9"));
+    }
+
+    #[test]
+    fn would_block_is_pending() {
+        let (got, buf) = read_line([Step::Fail(io::ErrorKind::WouldBlock)]);
+        assert_eq!(got, ReqRead::Pending);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn peer_gone_tells_hangups_from_strays() {
+        let gone = |steps: Vec<Step>| peer_gone(&mut Script::new(steps));
+        // EOF, with or without strays first.
+        assert!(gone(vec![]));
+        assert!(gone(vec![data(b"junk"), data(&[0u8; 9000])]));
+        // A hard error.
+        assert!(gone(vec![
+            data(b"x"),
+            Step::Fail(io::ErrorKind::ConnectionReset)
+        ]));
+        // Strays drained, then the socket would block: still connected.
+        assert!(!gone(vec![
+            data(&[7u8; 5000]),
+            Step::Fail(io::ErrorKind::Interrupted),
+            data(b"more"),
+            Step::Fail(io::ErrorKind::WouldBlock),
+        ]));
+        assert!(!gone(vec![Step::Fail(io::ErrorKind::WouldBlock)]));
+    }
 
     fn transfer() -> ScheduledTransfer {
         ScheduledTransfer {

@@ -3,28 +3,24 @@
 //! One accept thread hands connections round-robin to a fixed pool of
 //! worker shards, so the thread count is bounded by `workers + 2` no
 //! matter how many clients are connected. Each shard owns its
-//! connections outright and advances them on one of two data planes:
-//!
-//! * [`DataPlane::Reactor`] (default) — an epoll readiness reactor: a
-//!   connection is touched only when its socket turns readable or
-//!   writable, or when its pacing deadline fires from a hierarchical
-//!   [timing wheel](crate::wheel) armed through a nanosecond `timerfd`.
-//!   Payload is staged from the shared immutable
-//!   [arena](crate::payload) into vectored writes; connections live in
-//!   a generational [slab](crate::slab), so stale events and stale
-//!   timers resolve to nothing instead of to a recycled socket. Cost
-//!   per iteration: O(ready + expired).
-//! * [`DataPlane::Tick`] — the historical 2 ms sleep-scan loop, kept as
-//!   the committed baseline the `replay_serve` bench stage compares
-//!   against. Cost per iteration: O(connections).
+//! connections outright and runs an epoll readiness reactor: a
+//! connection is touched only when its socket turns readable or
+//! writable, or when its pacing deadline fires from a hierarchical
+//! [timing wheel](crate::wheel) armed through a nanosecond `timerfd`.
+//! Request lines and stray inbound bytes go through the shared
+//! [`proto`] readers. Payload is staged from the shared immutable
+//! [arena](crate::payload) into vectored writes; connections live in a
+//! generational [slab](crate::slab), so stale events and stale timers
+//! resolve to nothing instead of to a recycled socket. Cost per
+//! iteration: O(ready + expired).
 //!
 //! **Pacing.** Each live feed is a broadcast: a feed encoded at `rate`
 //! trace-bytes/second has a global position `rate × elapsed`, and a
 //! subscriber is entitled to the bytes the broadcast produced since it
 //! joined, capped by its transfer's wire byte budget. Time compression
 //! divides both the budget and the wall duration, so the *wire rate* is
-//! the trace rate unchanged. The reactor paces with wheel-resolution
-//! error (default 2^17 ns ≈ 131 µs) instead of the tick loop's ±2 ms.
+//! the trace rate unchanged. Pacing error is bounded by the wheel
+//! resolution (default 2^17 ns ≈ 131 µs).
 //!
 //! **Admission.** Every parsed request goes through the simulator's
 //! [`MediaServer`] — the same [`AdmissionPolicy`] semantics the DES uses
@@ -47,7 +43,7 @@
 use crate::clock::{trace_to_nanos, Nanos, WallClock};
 use crate::metrics::{Counter, Gauge, LogHistogram, Registry, Snapshot};
 use crate::payload::{self, MAX_SLICES};
-use crate::proto::{self, MAX_REQUEST_LINE};
+use crate::proto::{self, ReqRead};
 use crate::slab::{Key, Slab};
 use crate::wheel::{TimerId, TimingWheel};
 use crate::{STATUS_REJECTED, STATUS_TRUNCATED};
@@ -57,7 +53,7 @@ use lsw_trace::schedule::ScheduledTransfer;
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,10 +76,6 @@ const TIMER_TOKEN: Token = Token(usize::MAX - 1);
 /// rates, whichever is larger), keeping timer traffic off fast feeds.
 const PACING_BURST: u64 = payload::BLOCK as u64;
 
-/// The tick plane's historical write chunk (the seed's 8 KiB pattern
-/// buffer), preserved so the committed baseline stays the baseline.
-const TICK_WRITE: usize = 8192;
-
 /// Maps a client id onto its backlog accounting slot.
 fn client_slot(client: lsw_trace::ids::ClientId) -> usize {
     client.0 as usize % CLIENT_BACKLOG_SLOTS
@@ -99,16 +91,6 @@ pub enum SlowClientPolicy {
     /// stored-media answer. Memory stays bounded either way: payload is
     /// staged from the shared arena at write time, never queued.
     Backpressure,
-}
-
-/// Which serving data plane the workers run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlane {
-    /// Event-driven: epoll readiness + timing-wheel pacing (default).
-    #[default]
-    Reactor,
-    /// The historical sleep-scan poll loop (bench baseline).
-    Tick,
 }
 
 /// Serving harness configuration.
@@ -129,11 +111,7 @@ pub struct ServerConfig {
     pub slow_policy: SlowClientPolicy,
     /// Worker shards.
     pub workers: usize,
-    /// Serving data plane.
-    pub data_plane: DataPlane,
-    /// Pacing tick for the [`DataPlane::Tick`] plane, nanoseconds.
-    pub tick: Nanos,
-    /// Timing-wheel resolution for the reactor plane, nanoseconds
+    /// Timing-wheel resolution, nanoseconds
     /// (rounded up to a power of two; pacing error is bounded by it).
     pub wheel_resolution: Nanos,
     /// Maximum wait for in-flight transfers during drain, nanoseconds;
@@ -157,8 +135,6 @@ impl Default for ServerConfig {
             send_buffer: 256 << 10,
             slow_policy: SlowClientPolicy::Drop,
             workers: 2,
-            data_plane: DataPlane::Reactor,
-            tick: 2_000_000,
             wheel_resolution: 1 << 17,
             drain: 10_000_000_000,
             stream: StreamConfig::default(),
@@ -215,7 +191,6 @@ struct Shared {
     compression: f64,
     send_buffer: u64,
     slow_policy: SlowClientPolicy,
-    tick: Nanos,
     wheel_resolution: Nanos,
     /// Encoded trace-byte rate per object id (dense, indexed by id).
     rates: Vec<u64>,
@@ -297,9 +272,9 @@ struct Streaming {
 struct Conn {
     stream: TcpStream,
     state: ConnState,
-    /// Reactor only: last write hit `WouldBlock`; waiting on EPOLLOUT.
+    /// Last write hit `WouldBlock`; waiting on EPOLLOUT.
     blocked: bool,
-    /// Reactor only: EPOLLOUT currently registered for this socket.
+    /// EPOLLOUT currently registered for this socket.
     registered_write: bool,
 }
 
@@ -320,7 +295,7 @@ pub struct ReplayServer {
     addr: std::net::SocketAddr,
     accept_handle: std::thread::JoinHandle<()>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
-    /// One per reactor worker; empty on the tick plane.
+    /// One per worker shard.
     wakers: Vec<Arc<Waker>>,
     registry: Arc<Registry>,
     drain: Nanos,
@@ -362,7 +337,6 @@ impl ReplayServer {
             compression: cfg.compression.max(1.0),
             send_buffer: cfg.send_buffer,
             slow_policy: cfg.slow_policy,
-            tick: cfg.tick.max(100_000),
             wheel_resolution: cfg.wheel_resolution.max(1),
             rates: rate_table,
             admission: Mutex::new(MediaServer::new(lsw_sim::server::ServerConfig {
@@ -385,43 +359,29 @@ impl ReplayServer {
 
         let workers = cfg.workers.max(1);
         let mut senders = Vec::with_capacity(workers);
-        let mut wakers = Vec::new();
+        let mut wakers = Vec::with_capacity(workers);
         let mut worker_handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = mpsc::channel::<TcpStream>();
             senders.push(tx);
             let shared = Arc::clone(&shared);
-            match cfg.data_plane {
-                DataPlane::Reactor => {
-                    // lsw::allow(L002): the reactor acquires its epoll endpoint by design
-                    let poll = Poll::new()?;
-                    // lsw::allow(L002): the shutdown/intake eventfd waker is a reactor endpoint by design
-                    let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
-                    // lsw::allow(L002): the deadline timerfd is a reactor endpoint by design
-                    let mut timer = TimerFd::new()?;
-                    let timer_fd = timer.as_raw_fd();
-                    poll.registry().register(
-                        &mut SourceFd(&timer_fd),
-                        TIMER_TOKEN,
-                        Interest::READABLE,
-                    )?;
-                    wakers.push(Arc::clone(&waker));
-                    worker_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("lsw-reactor-{w}"))
-                            .spawn(move || {
-                                reactor_loop(&shared, &rx, poll, &mut timer);
-                            })?,
-                    );
-                }
-                DataPlane::Tick => {
-                    worker_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("lsw-tick-{w}"))
-                            .spawn(move || tick_worker_loop(&shared, &rx))?,
-                    );
-                }
-            }
+            // lsw::allow(L002): the reactor acquires its epoll endpoint by design
+            let poll = Poll::new()?;
+            // lsw::allow(L002): the shutdown/intake eventfd waker is a reactor endpoint by design
+            let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
+            // lsw::allow(L002): the deadline timerfd is a reactor endpoint by design
+            let mut timer = TimerFd::new()?;
+            let timer_fd = timer.as_raw_fd();
+            poll.registry()
+                .register(&mut SourceFd(&timer_fd), TIMER_TOKEN, Interest::READABLE)?;
+            wakers.push(waker);
+            worker_handles.push(
+                std::thread::Builder::new()
+                    .name(format!("lsw-reactor-{w}"))
+                    .spawn(move || {
+                        reactor_loop(&shared, &rx, poll, &mut timer);
+                    })?,
+            );
         }
 
         let accept_shared = Arc::clone(&shared);
@@ -517,7 +477,7 @@ fn accept_loop(
                     return; // worker gone; shutting down
                 }
                 // Kick the shard's reactor out of epoll_wait to adopt
-                // the connection (no-op slice on the tick plane).
+                // the connection.
                 if let Some(waker) = wakers.get(w) {
                     let _ = waker.wake();
                 }
@@ -530,9 +490,6 @@ fn accept_loop(
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Reactor data plane.
 
 /// One reactor shard: adopts connections from `rx`, then serves on
 /// readiness events and timing-wheel deadlines only. Exits once the
@@ -727,10 +684,9 @@ fn step_conn(
     }
 }
 
-/// Event-driven twin of the tick plane's [`advance`]: identical
-/// request/admission/pacing/backlog semantics, but progress happens
-/// only on readiness or deadline, and payload goes out as vectored
-/// writes from the shared arena.
+/// Advances one connection on readiness or deadline: reads its request
+/// line, then paces it with [`stream_step`]. Returns true when the
+/// connection is finished.
 fn advance_reactor(
     shared: &Shared,
     conn: &mut Conn,
@@ -741,40 +697,19 @@ fn advance_reactor(
     slices: &mut [IoSlice<'static>; MAX_SLICES],
 ) -> bool {
     match &mut conn.state {
-        ConnState::Request { buf } => {
-            let mut scratch = [0u8; 512];
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        shared.metrics.bad_requests.inc();
-                        return true; // peer closed before requesting
-                    }
-                    Ok(n) => {
-                        // Capacity check BEFORE growth: the request buffer
-                        // never exceeds MAX_REQUEST_LINE, even transiently.
-                        if buf.len() + n > MAX_REQUEST_LINE {
-                            shared.metrics.bad_requests.inc();
-                            return true;
-                        }
-                        buf.extend_from_slice(&scratch[..n]);
-                        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                            let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
-                            if begin_streaming(shared, conn, &line, now) {
-                                return true;
-                            }
-                            // Seed the first pacing deadline.
-                            return stream_step(shared, conn, key, now, false, wheel, slices);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        shared.metrics.bad_requests.inc();
-                        return true;
-                    }
-                }
+        ConnState::Request { buf } => match proto::read_request_line(&mut conn.stream, buf) {
+            ReqRead::Pending => false,
+            ReqRead::Dead => {
+                // Closed, failed, or overflowed before requesting.
+                shared.metrics.bad_requests.inc();
+                true
             }
-        }
+            ReqRead::Line(line) => {
+                // Seed the first pacing deadline.
+                begin_streaming(shared, conn, &line, now)
+                    || stream_step(shared, conn, key, now, false, wheel, slices)
+            }
+        },
         ConnState::Streaming(_) => stream_step(shared, conn, key, now, readable, wheel, slices),
     }
 }
@@ -800,28 +735,12 @@ fn stream_step(
     if let Some(id) = s.timer.take() {
         wheel.cancel(id);
     }
-    if readable {
-        // Subscribers never legitimately send after the request; drain
-        // (and ignore) strays so level-triggered epoll stays quiet, and
-        // catch the peer vanishing early.
-        let mut probe = [0u8; 512];
-        loop {
-            match conn.stream.read(&mut probe) {
-                Ok(0) => {
-                    finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                    shared.metrics.truncated.inc();
-                    return true;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                    shared.metrics.truncated.inc();
-                    return true;
-                }
-            }
-        }
+    // Drain strays so level-triggered epoll stays quiet, and catch the
+    // peer vanishing early.
+    if readable && proto::peer_gone(&mut conn.stream) {
+        finish_streaming(shared, s, now, STATUS_TRUNCATED);
+        shared.metrics.truncated.inc();
+        return true;
     }
     // Broadcast entitlement since join, capped by the budget.
     let pos = proto::paced_position(s.rate, now.saturating_sub(s.join));
@@ -894,136 +813,10 @@ fn stream_step(
     false
 }
 
-// ---------------------------------------------------------------------
-// Tick data plane (the committed baseline).
-
-/// The historical sleep-scan loop: every connection is advanced every
-/// `cfg.tick` nanoseconds, ready or not.
-fn tick_worker_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut disconnected = false;
-    loop {
-        while let Ok(stream) = rx.try_recv() {
-            conns.push(Conn::new(stream));
-        }
-        if let Err(mpsc::TryRecvError::Disconnected) = rx.try_recv() {
-            disconnected = true;
-        }
-        let force = shared.force.load(Ordering::Relaxed);
-        let now = shared.clock.now();
-        let mut i = 0;
-        while i < conns.len() {
-            let done = advance(shared, &mut conns[i], now, force);
-            if done {
-                shared.metrics.active.dec();
-                conns.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        let draining = disconnected || shared.shutdown.load(Ordering::Relaxed);
-        if conns.is_empty() && draining {
-            return;
-        }
-        // lsw::allow(L008): the tick plane paces by sleeping exactly one configured tick
-        std::thread::sleep(std::time::Duration::from_nanos(shared.tick));
-    }
-}
-
-/// Advances one connection by one tick; returns true when it is done and
-/// its slot can be reclaimed.
-fn advance(shared: &Shared, conn: &mut Conn, now: Nanos, force: bool) -> bool {
-    match &mut conn.state {
-        ConnState::Request { buf } => {
-            if force {
-                shared.metrics.bad_requests.inc();
-                return true;
-            }
-            let mut scratch = [0u8; 512];
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        shared.metrics.bad_requests.inc();
-                        return true; // peer closed before requesting
-                    }
-                    Ok(n) => {
-                        // Capacity check BEFORE growth: the request buffer
-                        // never exceeds MAX_REQUEST_LINE, even transiently.
-                        if buf.len() + n > MAX_REQUEST_LINE {
-                            shared.metrics.bad_requests.inc();
-                            return true;
-                        }
-                        buf.extend_from_slice(&scratch[..n]);
-                        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                            let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
-                            return begin_streaming(shared, conn, &line, now);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        shared.metrics.bad_requests.inc();
-                        return true;
-                    }
-                }
-            }
-        }
-        ConnState::Streaming(s) => {
-            if force {
-                finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                shared.metrics.truncated.inc();
-                return true;
-            }
-            // Broadcast entitlement since join, capped by the budget.
-            let pos = proto::paced_position(s.rate, now.saturating_sub(s.join));
-            let entitled = pos.min(s.budget);
-            let block = payload::block();
-            while s.sent < entitled {
-                let want = usize::try_from((entitled - s.sent).min(TICK_WRITE as u64))
-                    .unwrap_or(TICK_WRITE);
-                match conn.stream.write(&block[..want]) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        s.sent += n as u64;
-                        shared.metrics.bytes_sent.add(n as u64);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // Peer vanished mid-stream.
-                        finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                        shared.metrics.truncated.inc();
-                        return true;
-                    }
-                }
-            }
-            let backlog = entitled - s.sent;
-            shared.metrics.backlog.record(backlog);
-            // The budget is enforced on the client's *aggregate* backlog
-            // in bytes: several connections to large objects draw from
-            // one budget, not one each.
-            let client_total = shared.account_backlog(&s.t, &mut s.accounted, backlog);
-            if client_total > shared.send_buffer && shared.slow_policy == SlowClientPolicy::Drop {
-                finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                shared.metrics.slow_dropped.inc();
-                return true;
-            }
-            if s.sent == s.budget && now >= s.hold_until {
-                // Transfer complete: log in trace coordinates with the
-                // original status, then close.
-                finish_streaming(shared, s, now, s.t.status);
-                shared.metrics.completed.inc();
-                return true;
-            }
-            false
-        }
-    }
-}
-
-/// Parses the request, runs admission, answers the status line. Shared
-/// by both data planes.
+/// Parses the request, runs admission, answers the status line.
+/// Returns true when the connection is finished.
 fn begin_streaming(shared: &Shared, conn: &mut Conn, line: &str, now: Nanos) -> bool {
-    let Some(t) = proto::parse_request(line.trim_end_matches('\r')) else {
+    let Some(t) = proto::parse_request(line) else {
         shared.metrics.bad_requests.inc();
         return true;
     };
@@ -1086,7 +879,6 @@ mod tests {
             compression: 1.0,
             send_buffer,
             slow_policy: SlowClientPolicy::Drop,
-            tick: 1,
             wheel_resolution: 1 << 17,
             rates: vec![0, 500],
             admission: Mutex::new(MediaServer::new(lsw_sim::server::ServerConfig::default())),

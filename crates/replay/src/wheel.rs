@@ -375,7 +375,7 @@ mod tests {
         // Following the bound repeatedly reaches the deadline quickly.
         let mut fired = Vec::new();
         let mut hops = 0;
-        while w.len() > 0 {
+        while !w.is_empty() {
             let b = w.next_deadline().expect("pending");
             w.advance(b, &mut fired);
             hops += 1;
@@ -385,6 +385,8 @@ mod tests {
     }
 
     #[test]
+    // The O(occupied) claim is checked against a wall-clock bound.
+    #[allow(clippy::disallowed_methods)]
     fn virtual_day_advance_is_cheap_and_exact() {
         // 86 400 virtual seconds at default resolution: the advance
         // must jump occupied slots, not iterate ~6.6e8 empty ticks.

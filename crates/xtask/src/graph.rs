@@ -161,9 +161,9 @@ fn crate_alias(seg: &str, current: &str) -> Option<String> {
 }
 
 /// Functions treated as thread entry points for the L008 nonblocking
-/// contract: the replay reactor shard, the legacy tick-plane worker,
-/// the load driver's event loop, and the edge relay's reactor.
-const L008_ENTRY_FNS: &[&str] = &["reactor_loop", "tick_worker_loop", "drive", "relay_loop"];
+/// contract: the replay reactor shard, the load driver's event loop,
+/// and the edge relay's reactor.
+const L008_ENTRY_FNS: &[&str] = &["reactor_loop", "drive", "relay_loop"];
 
 /// A lock identity: `(crate, field name)`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
