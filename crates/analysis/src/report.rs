@@ -164,8 +164,9 @@ pub fn characterize(trace: &Trace, seed: u64) -> CharacterizationReport {
 /// the report's session timeout is the one `sessions` was built with.
 ///
 /// The three layers are independent given the trace and the sessionization,
-/// so they run concurrently on scoped threads; each layer parallelizes
-/// further internally. Results are identical to running them sequentially.
+/// so they run concurrently on scoped threads, overlapping the Table 1
+/// summary on the calling thread; each layer parallelizes further
+/// internally. Results are identical to running them sequentially.
 ///
 /// # Panics
 ///
@@ -177,18 +178,21 @@ pub fn characterize_with(trace: &Trace, sessions: &Sessions, seed: u64) -> Chara
         trace.len(),
         "sessions were not built from this trace"
     );
-    let (client, session, transfer) = crossbeam::thread::scope(|s| {
+    let (summary, client, session, transfer) = crossbeam::thread::scope(|s| {
         let client = s.spawn(|| client_layer::analyze(trace, sessions, seed));
         let session = s.spawn(|| session_layer::analyze(trace, sessions));
         let transfer = s.spawn(|| transfer_layer::analyze(trace));
+        // The calling thread computes the summary while the layers run.
+        let summary = trace.summary();
         (
+            summary,
             join_layer(client),
             join_layer(session),
             join_layer(transfer),
         )
     });
     CharacterizationReport {
-        summary: trace.summary(),
+        summary,
         session_timeout: sessions.config().timeout,
         ingest: None,
         client,

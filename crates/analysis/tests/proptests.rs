@@ -1,15 +1,18 @@
 //! Property-based tests for the characterizer: any trace the pipeline can
 //! produce must yield a structurally sound report.
 
+use lsw_analysis::client_layer::{analyze_geo, analyze_interest, GeoAnalysis};
 use lsw_analysis::marginal::{display_transform, Marginal};
 use lsw_analysis::{characterize_with, session_layer};
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
+use lsw_stats::empirical::RankFrequency;
 use lsw_trace::event::{LogEntry, LogEntryBuilder};
-use lsw_trace::ids::ClientId;
+use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::session::{SessionConfig, Sessions};
 use lsw_trace::trace::Trace;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Step sizes for the hand-built sweep traces: each transfer starts this
 /// far after its client's previous stop, so gaps land exactly on sweep
@@ -47,6 +50,131 @@ fn sweep_trace(clients: Vec<Vec<(usize, usize, u32)>>) -> Trace {
         }
     }
     Trace::from_entries(entries, 200_000)
+}
+
+/// Country codes for the key-space traces: two share a first byte, one is
+/// not ASCII.
+const COUNTRIES: [[u8; 2]; 4] = [*b"BR", *b"BO", *b"US", [0xff, 0x01]];
+
+/// A trace whose client ids and IPs sit near 0 and near `u32::MAX` and
+/// whose AS ids sit near both ends of `u16`, from pools small enough that
+/// one IP shows up under several ASes; `n_countries` may be 1.
+fn key_trace(n_countries: usize, raws: Vec<(u32, u32, u32, u16, usize)>) -> Trace {
+    let entries = raws
+        .into_iter()
+        .map(|(start, client, ip, asn, country)| {
+            LogEntryBuilder::new()
+                .span(start, 300)
+                .client(ClientId(client))
+                .origin(
+                    Ipv4Addr(ip),
+                    AsId(asn),
+                    CountryCode(COUNTRIES[country % n_countries]),
+                )
+                .object(ObjectId(0), 0)
+                .transfer_stats(1_000, 34_000, 0.0)
+                .build()
+        })
+        .collect();
+    Trace::from_entries(entries, 86_400)
+}
+
+/// The `BTreeMap`/`BTreeSet` form of [`analyze_geo`], kept as its reference.
+fn reference_geo(trace: &Trace) -> GeoAnalysis {
+    let mut transfers_per_as: BTreeMap<AsId, u64> = BTreeMap::new();
+    let mut ips_per_as: BTreeMap<AsId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+    let mut transfers_per_country: BTreeMap<[u8; 2], u64> = BTreeMap::new();
+    for e in trace.entries() {
+        *transfers_per_as.entry(e.as_id).or_insert(0) += 1;
+        ips_per_as.entry(e.as_id).or_default().insert(e.ip);
+        *transfers_per_country.entry(e.country.0).or_insert(0) += 1;
+    }
+    let n_ases = transfers_per_as.len();
+    let as_by_transfers =
+        RankFrequency::from_counts(transfers_per_as.into_values().collect()).points();
+    let as_by_ips =
+        RankFrequency::from_counts(ips_per_as.values().map(|s| s.len() as u64).collect()).points();
+    let total: u64 = transfers_per_country.values().sum();
+    let mut country_transfers: Vec<(String, f64)> = transfers_per_country
+        .into_iter()
+        .map(|(c, n)| {
+            (
+                std::str::from_utf8(&c).unwrap_or("??").to_string(),
+                n as f64 / total.max(1) as f64,
+            )
+        })
+        .collect();
+    country_transfers.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    GeoAnalysis {
+        as_by_transfers,
+        as_by_ips,
+        n_countries: country_transfers.len(),
+        country_transfers,
+        n_ases,
+    }
+}
+
+/// The `BTreeMap` form of the Fig 7 per-client counts, ranked.
+fn reference_rank(clients: impl Iterator<Item = ClientId>) -> Vec<(f64, f64)> {
+    let mut counts: BTreeMap<ClientId, u64> = BTreeMap::new();
+    for c in clients {
+        *counts.entry(c).or_insert(0) += 1;
+    }
+    RankFrequency::from_counts(counts.into_values().collect()).points()
+}
+
+/// Checks Fig 2 and the Fig 7 rankings against their references.
+fn check_client_aggregations(trace: &Trace) {
+    let (geo, reference) = (analyze_geo(trace), reference_geo(trace));
+    prop_assert_eq!(&geo.as_by_transfers, &reference.as_by_transfers);
+    prop_assert_eq!(&geo.as_by_ips, &reference.as_by_ips);
+    prop_assert_eq!(&geo.country_transfers, &reference.country_transfers);
+    prop_assert_eq!(geo.n_ases, reference.n_ases);
+    prop_assert_eq!(geo.n_countries, reference.n_countries);
+
+    let sessions = Sessions::identify(trace, SessionConfig::default());
+    let interest = analyze_interest(trace, &sessions);
+    let transfers = reference_rank(trace.entries().iter().map(|e| e.client));
+    let per_session = reference_rank(sessions.all().iter().map(|s| s.client));
+    prop_assert_eq!(&interest.transfers_rank, &transfers);
+    prop_assert_eq!(&interest.sessions_rank, &per_session);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn client_aggregations_match_reference(
+        n_countries in 1..=COUNTRIES.len(),
+        raws in prop::collection::vec(
+            (
+                0u32..80_000,
+                prop_oneof![0u32..40, (u32::MAX - 40)..=u32::MAX],
+                prop_oneof![0u32..60, (u32::MAX - 60)..=u32::MAX],
+                prop_oneof![0u16..6, (u16::MAX - 3)..=u16::MAX],
+                0..COUNTRIES.len(),
+            ),
+            1..150,
+        ),
+    ) {
+        check_client_aggregations(&key_trace(n_countries, raws));
+    }
+}
+
+#[test]
+fn client_aggregations_match_reference_on_edge_traces() {
+    // One entry, at the top of every key space.
+    check_client_aggregations(&key_trace(1, vec![(0, u32::MAX, u32::MAX, u16::MAX, 0)]));
+    // One IP under two ASes; ids at both ends of u32.
+    check_client_aggregations(&key_trace(
+        4,
+        vec![
+            (0, 0, u32::MAX, 1, 0),
+            (10, u32::MAX, u32::MAX, 2, 0),
+            (20, u32::MAX - 1, 0, 2, 3),
+            (4_000, u32::MAX, 0, 1, 1),
+        ],
+    ));
 }
 
 proptest! {

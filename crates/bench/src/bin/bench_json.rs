@@ -466,6 +466,25 @@ fn main() {
     // driver workers per relay (sharing the pool).
     let (edge_bytes, edge_secs, edge_cpu) = time(edge_run);
 
+    // Full characterization (Table 1 summary plus the client, session and
+    // transfer layers) over an existing sessionization, on the Medium
+    // preset (7 days, 120k clients, 350k sessions): big enough that the
+    // stage runs well over 100 ms. Four threads: the three layer threads
+    // plus the caller computing the summary.
+    let medium = WorkloadConfig::paper().scaled(120_000, 7 * 86_400, 350_000);
+    let medium_trace = Generator::new(medium, seed)
+        .expect("valid config")
+        .generate()
+        .render();
+    let medium_sessions = Sessions::identify(&medium_trace, SessionConfig::default());
+    let (medium_report, char_secs, char_cpu) =
+        time(|| lsw_analysis::characterize_with(&medium_trace, &medium_sessions, seed));
+    assert_eq!(
+        medium_report.summary.transfers,
+        medium_trace.len(),
+        "characterize must count every transfer"
+    );
+
     // Whole-workspace static analysis: lex + item extraction + call-graph
     // construction + all eleven rules over every first-party source file.
     // files/sec is the number CI's xtask-lint-strict job experiences.
@@ -573,6 +592,14 @@ fn main() {
             elements: lint_report.scanned,
             secs: lint_secs,
             cpu_secs: lint_cpu,
+            sketch_bytes: None,
+        },
+        Stage {
+            name: "characterize",
+            threads: 4,
+            elements: medium_trace.len(),
+            secs: char_secs,
+            cpu_secs: char_cpu,
             sketch_bytes: None,
         },
     ];

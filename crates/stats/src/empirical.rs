@@ -384,6 +384,9 @@ pub struct RankFrequency {
 
 impl RankFrequency {
     /// Builds a rank-frequency table from per-entity counts (zeros dropped).
+    ///
+    /// The output does not depend on the order of `counts`: they are sorted
+    /// by value, and equal counts are indistinguishable.
     pub fn from_counts(mut counts: Vec<u64>) -> Self {
         counts.retain(|&c| c > 0);
         counts.sort_unstable_by(|a, b| b.cmp(a));
@@ -549,5 +552,24 @@ mod tests {
         assert_eq!(pts[0], (1.0, 20.0 / 35.0));
         assert!((rf.top_k_share(2) - 30.0 / 35.0).abs() < 1e-12);
         assert_eq!(rf.top_k_share(100), 1.0);
+    }
+
+    #[test]
+    fn rank_frequency_ignores_input_order() {
+        let counts: Vec<u64> = (0..200u64).map(|i| (i * 7919) % 13).collect();
+        let reference = RankFrequency::from_counts(counts.clone());
+        let mut rng = crate::rng::SeedStream::new(5).rng("shuffle");
+        for _ in 0..20 {
+            // Fisher–Yates.
+            let mut shuffled = counts.clone();
+            for i in (1..shuffled.len()).rev() {
+                let j = rand::Rng::next_u64(&mut rng) % (i as u64 + 1);
+                shuffled.swap(i, j as usize);
+            }
+            let rf = RankFrequency::from_counts(shuffled);
+            assert_eq!(rf.counts, reference.counts);
+            assert_eq!(rf.total, reference.total);
+            assert_eq!(rf.points(), reference.points());
+        }
     }
 }

@@ -157,15 +157,16 @@ pub fn fit_weibull(data: &[f64]) -> Result<WeibullFit, FitError> {
         return Err(FitError::new("Weibull fit requires positive data"));
     }
     let n = data.len() as f64;
-    let mean_ln: f64 = data.iter().map(|&x| x.ln()).sum::<f64>() / n;
+    let ln_x: Vec<f64> = data.iter().map(|&x| x.ln()).collect();
+    let mean_ln: f64 = ln_x.iter().sum::<f64>() / n;
     let mut k = 1.0_f64;
     for _ in 0..200 {
         let mut s_xk = 0.0;
         let mut s_xk_lnx = 0.0;
-        for &x in data {
+        for (&x, &lnx) in data.iter().zip(&ln_x) {
             let xk = x.powf(k);
             s_xk += xk;
-            s_xk_lnx += xk * x.ln();
+            s_xk_lnx += xk * lnx;
         }
         let denom = s_xk_lnx / s_xk - mean_ln;
         if !(denom > 0.0) {

@@ -26,15 +26,25 @@ impl TestResult {
 
 /// KS distance between a *sorted* sample and a theoretical CDF.
 ///
-/// `D = sup_x |F_n(x) − F(x)|`, evaluated at the jump points.
+/// `D = sup_x |F_n(x) − F(x)|`, evaluated at the jump points. The CDF is
+/// called once per run `[i, k)` of bit-equal values: over the run,
+/// `|F − m/n|` for `m ∈ [i, k]` peaks at an endpoint, so only `m = i` and
+/// `m = k` are compared, and `D` has the bits of the per-point form.
 pub fn ks_distance(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
     let n = sorted.len() as f64;
     let mut d: f64 = 0.0;
-    for (i, &x) in sorted.iter().enumerate() {
+    let mut i = 0;
+    while i < sorted.len() {
+        let x = sorted[i];
+        let k = i + sorted[i..]
+            .iter()
+            .take_while(|y| y.to_bits() == x.to_bits())
+            .count();
         let f = cdf(x);
         let lo = i as f64 / n; // F_n just before the jump
-        let hi = (i as f64 + 1.0) / n; // F_n just after
+        let hi = k as f64 / n; // F_n just after
         d = d.max((f - lo).abs()).max((hi - f).abs());
+        i = k;
     }
     d
 }

@@ -87,7 +87,8 @@ pub fn autocorrelation(series: &[f64], max_lag: usize) -> Vec<f64> {
     assert!(n >= 2, "autocorrelation needs >= 2 points");
     let max_lag = max_lag.min(n - 1);
     let mean = series.iter().sum::<f64>() / n as f64;
-    let denom: f64 = series.iter().map(|&x| (x - mean).powi(2)).sum();
+    let c: Vec<f64> = series.iter().map(|&x| x - mean).collect();
+    let denom: f64 = c.iter().map(|&x| x.powi(2)).sum();
     if denom == 0.0 {
         // Constant series: define ACF as 1 at lag 0 and 0 beyond, which is
         // the convention least surprising to downstream peak-finders.
@@ -95,11 +96,40 @@ pub fn autocorrelation(series: &[f64], max_lag: usize) -> Vec<f64> {
         out[0] = 1.0;
         return out;
     }
+    // Four lags per pass over `t`, each with its own accumulator, so the
+    // adds of different lags overlap. Each lag still sums its products in
+    // increasing `t` from 0.0: every value has the bits of the one-lag loop.
     let mut out = Vec::with_capacity(max_lag + 1);
-    for lag in 0..=max_lag {
+    let mut lag = 0;
+    while lag + 3 <= max_lag {
+        // `t < common` is in range for all four lags.
+        let common = n - lag - 3;
+        let (x, y0, y1, y2, y3) = (
+            &c[..common],
+            &c[lag..lag + common],
+            &c[lag + 1..lag + 1 + common],
+            &c[lag + 2..lag + 2 + common],
+            &c[lag + 3..lag + 3 + common],
+        );
+        let mut acc = [0.0f64; 4];
+        for t in 0..common {
+            acc[0] += x[t] * y0[t];
+            acc[1] += x[t] * y1[t];
+            acc[2] += x[t] * y2[t];
+            acc[3] += x[t] * y3[t];
+        }
+        for (j, mut num) in acc.into_iter().enumerate() {
+            for t in common..n - lag - j {
+                num += c[t] * c[t + lag + j];
+            }
+            out.push(num / denom);
+        }
+        lag += 4;
+    }
+    for lag in lag..=max_lag {
         let mut num = 0.0;
         for t in 0..n - lag {
-            num += (series[t] - mean) * (series[t + lag] - mean);
+            num += c[t] * c[t + lag];
         }
         out.push(num / denom);
     }

@@ -9,11 +9,106 @@ use lsw_stats::dist::{
     Truncated, Uniform, Weibull, Zeta, ZipfTable,
 };
 use lsw_stats::empirical::{Binning, Ecdf, Histogram, RankFrequency, Summary};
-use lsw_stats::fit::{fit_exponential, fit_lognormal, linear_regression};
+use lsw_stats::fit::{fit_exponential, fit_lognormal, fit_weibull, linear_regression};
+use lsw_stats::hypothesis::ks_distance;
 use lsw_stats::par::{merge_sorted_runs, F64Key};
 use lsw_stats::rng::SeedStream;
 use lsw_stats::timeseries::{autocorrelation, bin_counts, fold_periodic};
 use proptest::prelude::*;
+use std::cell::Cell;
+
+/// The one-lag-at-a-time ACF, kept as the reference for the blocked one.
+fn naive_autocorrelation(series: &[f64], max_lag: usize) -> Vec<f64> {
+    let n = series.len();
+    let max_lag = max_lag.min(n - 1);
+    let mean = series.iter().sum::<f64>() / n as f64;
+    let denom: f64 = series.iter().map(|&x| (x - mean).powi(2)).sum();
+    if denom == 0.0 {
+        let mut out = vec![0.0; max_lag + 1];
+        out[0] = 1.0;
+        return out;
+    }
+    let mut out = Vec::with_capacity(max_lag + 1);
+    for lag in 0..=max_lag {
+        let mut num = 0.0;
+        for t in 0..n - lag {
+            num += (series[t] - mean) * (series[t + lag] - mean);
+        }
+        out.push(num / denom);
+    }
+    out
+}
+
+/// The per-point KS distance (one CDF call per observation), kept as the
+/// reference for the run-grouped one.
+fn per_point_ks_distance(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
+    let n = sorted.len() as f64;
+    let mut d: f64 = 0.0;
+    for (i, &x) in sorted.iter().enumerate() {
+        let f = cdf(x);
+        let lo = i as f64 / n;
+        let hi = (i as f64 + 1.0) / n;
+        d = d.max((f - lo).abs()).max((hi - f).abs());
+    }
+    d
+}
+
+/// The Weibull fixed point recomputing `ln x` every iteration, kept as the
+/// reference for `fit_weibull`; `None` where the fit errs.
+// `!(x > 0.0)` also rejects NaN, as in the library.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn reference_weibull(data: &[f64]) -> Option<(f64, f64)> {
+    if data.len() < 2 || data.iter().any(|&x| !(x > 0.0)) {
+        return None;
+    }
+    let n = data.len() as f64;
+    let mean_ln: f64 = data.iter().map(|&x| x.ln()).sum::<f64>() / n;
+    let mut k = 1.0_f64;
+    for _ in 0..200 {
+        let mut s_xk = 0.0;
+        let mut s_xk_lnx = 0.0;
+        for &x in data {
+            let xk = x.powf(k);
+            s_xk += xk;
+            s_xk_lnx += xk * x.ln();
+        }
+        let denom = s_xk_lnx / s_xk - mean_ln;
+        if !(denom > 0.0) {
+            return None;
+        }
+        let k_new = 1.0 / denom;
+        if (k_new - k).abs() < 1e-10 * k {
+            k = k_new;
+            break;
+        }
+        k = 0.5 * (k + k_new);
+    }
+    let lambda = (data.iter().map(|&x| x.powf(k)).sum::<f64>() / n).powf(1.0 / k);
+    if !(lambda > 0.0) || !lambda.is_finite() || !k.is_finite() {
+        return None;
+    }
+    Some((lambda, k))
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Checks run-grouped KS against per-point KS, bit for bit, and that the
+/// CDF is called once per distinct bit pattern.
+fn check_ks(mut sample: Vec<f64>, cdf: impl Fn(f64) -> f64) {
+    sample.sort_unstable_by(f64::total_cmp);
+    let calls = Cell::new(0usize);
+    let grouped = ks_distance(&sample, |x| {
+        calls.set(calls.get() + 1);
+        cdf(x)
+    });
+    let reference = per_point_ks_distance(&sample, &cdf);
+    prop_assert_eq!(grouped.to_bits(), reference.to_bits());
+    let mut distinct = bits(&sample);
+    distinct.dedup();
+    prop_assert_eq!(calls.get(), distinct.len());
+}
 
 /// Checks the Continuous contract on a grid: CDF in [0,1], monotone,
 /// quantile inverts CDF, pdf non-negative.
@@ -306,5 +401,79 @@ proptest! {
         expected.sort_by(f64::total_cmp);
         let merged = merge_sorted_runs(runs, |&x| F64Key(x));
         prop_assert_eq!(merged, expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Covers remainder lags, n < 4, and max_lag >= n - 1.
+    #[test]
+    fn blocked_acf_matches_naive_bit_for_bit(
+        series in prop::collection::vec(-1e3..1e3f64, 2..200),
+        lag_frac in 0.0..1.0f64,
+    ) {
+        let max_lag = (lag_frac * (series.len() + 5) as f64) as usize;
+        prop_assert_eq!(
+            bits(&autocorrelation(&series, max_lag)),
+            bits(&naive_autocorrelation(&series, max_lag))
+        );
+    }
+
+    #[test]
+    fn grouped_ks_matches_per_point_bit_for_bit(
+        ints in prop::collection::vec(0u8..20, 1..300),
+        negative_zero in prop::collection::vec(0u8..2, 300),
+        mu in -2.0..10.0f64,
+        sigma in 0.5..8.0f64,
+    ) {
+        // Integers 0..20, zeros split between -0.0 and 0.0.
+        let sample: Vec<f64> = ints
+            .iter()
+            .zip(&negative_zero)
+            .map(|(&i, &neg)| if i == 0 && neg == 1 { -0.0 } else { f64::from(i) })
+            .collect();
+        let d = Normal::new(mu, sigma).unwrap();
+        check_ks(sample.clone(), |x| d.cdf(x));
+        // A CDF that tells -0.0 from 0.0: each sign is its own run.
+        check_ks(sample, |x| if x.is_sign_negative() { 0.25 } else { d.cdf(x) });
+    }
+
+    #[test]
+    fn weibull_fit_matches_reference_bit_for_bit(
+        lambda in 0.5..1e4f64,
+        k in 0.3..4.0f64,
+        seed in 0u64..1_000,
+        ties in 0u8..2,
+    ) {
+        let d = Weibull::new(lambda, k).unwrap();
+        let mut rng = SeedStream::new(seed).rng("pt-weibull");
+        let mut xs = d.sample_n(&mut rng, 500);
+        if ties == 1 {
+            // Tie-heavy: whole seconds, as the trace records them.
+            xs.iter_mut().for_each(|x| *x = x.ceil());
+        }
+        let fit = fit_weibull(&xs).ok().map(|f| (f.lambda.to_bits(), f.k.to_bits()));
+        let reference = reference_weibull(&xs).map(|(l, k)| (l.to_bits(), k.to_bits()));
+        prop_assert_eq!(fit, reference);
+    }
+}
+
+#[test]
+fn blocked_acf_matches_naive_on_every_small_shape() {
+    for n in 2..40usize {
+        let series: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 4.5).collect();
+        for max_lag in 0..n + 5 {
+            assert_eq!(
+                bits(&autocorrelation(&series, max_lag)),
+                bits(&naive_autocorrelation(&series, max_lag)),
+                "n {n} max_lag {max_lag}"
+            );
+        }
+        let constant = vec![3.25; n];
+        assert_eq!(
+            bits(&autocorrelation(&constant, n + 4)),
+            bits(&naive_autocorrelation(&constant, n + 4))
+        );
     }
 }

@@ -331,17 +331,21 @@ impl Sessions {
         out
     }
 
-    /// Sessions per client, as counts keyed by client (Fig 7 right).
+    /// Sessions per client (Fig 7 right), one count per client in
+    /// ascending client-id order. (The order is fixed, though
+    /// `RankFrequency::from_counts` does not depend on it.)
     pub fn session_counts_per_client(&self) -> Vec<u64> {
-        // BTreeMap: RankFrequency keeps insertion order for tied counts, so
-        // the count vector must come out in a process-independent order.
-        let mut counts: std::collections::BTreeMap<ClientId, u64> =
-            std::collections::BTreeMap::new();
-        for s in &self.sessions {
-            *counts.entry(s.client).or_insert(0) += 1;
-        }
-        counts.into_values().collect()
+        let mut clients: Vec<u32> = self.sessions.iter().map(|s| s.client.0).collect();
+        clients.sort_unstable();
+        run_lengths(&clients)
     }
+}
+
+/// The lengths of the runs of equal values in sorted `keys`.
+fn run_lengths(keys: &[u32]) -> Vec<u64> {
+    keys.chunk_by(|a, b| a == b)
+        .map(|run| run.len() as u64)
+        .collect()
 }
 
 /// Splits the canonically ordered index list into at most `workers`
@@ -435,16 +439,13 @@ fn sessionize_run<V: TransferView>(
     (sessions, entry_order)
 }
 
-/// Transfers per client, as counts (Fig 7 left). Lives here (not on
-/// [`Sessions`]) because it needs only the trace.
+/// Transfers per client (Fig 7 left), one count per client in ascending
+/// client-id order. Lives here (not on [`Sessions`]) because it needs only
+/// the trace.
 pub fn transfer_counts_per_client(trace: &Trace) -> Vec<u64> {
-    // BTreeMap for the same reason as `session_counts_per_client`: tied
-    // counts must rank in a process-independent order.
-    let mut counts: std::collections::BTreeMap<ClientId, u64> = std::collections::BTreeMap::new();
-    for e in trace.entries() {
-        *counts.entry(e.client).or_insert(0) += 1;
-    }
-    counts.into_values().collect()
+    let mut clients: Vec<u32> = trace.entries().iter().map(|e| e.client.0).collect();
+    clients.sort_unstable();
+    run_lengths(&clients)
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! The trace container and Table-1 style summary statistics.
 
 use crate::event::LogEntry;
-use crate::ids::{AsId, ClientId, Ipv4Addr, ObjectId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// An in-memory trace: log entries plus the collection horizon.
 ///
@@ -52,32 +50,42 @@ impl Trace {
     }
 
     /// Computes the Table-1 style summary.
+    ///
+    /// AS, country and object are 16-bit keys, tracked in dense seen-arrays;
+    /// client ids and IPs are counted by sort and dedup.
     pub fn summary(&self) -> TraceSummary {
-        let mut clients: HashSet<ClientId> = HashSet::new();
-        let mut ips: HashSet<Ipv4Addr> = HashSet::new();
-        let mut ases: HashSet<AsId> = HashSet::new();
-        let mut countries: HashSet<[u8; 2]> = HashSet::new();
-        let mut objects: HashSet<ObjectId> = HashSet::new();
+        let mut ases = vec![false; 1 << 16];
+        let mut countries = vec![false; 1 << 16];
+        let mut objects = vec![false; 1 << 16];
         let mut bytes: u64 = 0;
         for e in &self.entries {
-            clients.insert(e.client);
-            ips.insert(e.ip);
-            ases.insert(e.as_id);
-            countries.insert(e.country.0);
-            objects.insert(e.object);
+            ases[usize::from(e.as_id.0)] = true;
+            countries[usize::from(u16::from_be_bytes(e.country.0))] = true;
+            objects[usize::from(e.object.0)] = true;
             bytes = bytes.saturating_add(e.bytes);
         }
         TraceSummary {
             days: self.horizon as f64 / 86_400.0,
-            objects: objects.len(),
-            client_ases: ases.len(),
-            countries: countries.len(),
-            client_ips: ips.len(),
-            users: clients.len(),
+            objects: count_set(&objects),
+            client_ases: count_set(&ases),
+            countries: count_set(&countries),
+            client_ips: count_distinct(self.entries.iter().map(|e| e.ip.0)),
+            users: count_distinct(self.entries.iter().map(|e| e.client.0)),
             transfers: self.entries.len(),
             bytes,
         }
     }
+}
+
+fn count_set(seen: &[bool]) -> usize {
+    seen.iter().filter(|&&s| s).count()
+}
+
+fn count_distinct(keys: impl Iterator<Item = u32>) -> usize {
+    let mut keys: Vec<u32> = keys.collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
 }
 
 /// Basic statistics of a trace — the rows of the paper's Table 1.
@@ -128,7 +136,7 @@ impl std::fmt::Display for TraceSummary {
 mod tests {
     use super::*;
     use crate::event::LogEntryBuilder;
-    use crate::ids::CountryCode;
+    use crate::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 
     fn entry(start: u32, dur: u32, client: u32, ip: u32, as_id: u16, obj: u16) -> LogEntry {
         LogEntryBuilder::new()

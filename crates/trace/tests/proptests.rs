@@ -7,9 +7,10 @@ use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::ltc;
 use lsw_trace::schedule::Schedule;
 use lsw_trace::session::{transfer_counts_per_client, SessionConfig, Sessions};
-use lsw_trace::trace::Trace;
+use lsw_trace::trace::{Trace, TraceSummary};
 use lsw_trace::wms;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashSet};
 
 /// Strategy producing a random but valid log entry within a 1-day horizon.
 fn arb_entry() -> impl Strategy<Value = LogEntry> {
@@ -60,8 +61,109 @@ fn arb_any_entry() -> impl Strategy<Value = LogEntry> {
     })
 }
 
+/// Country codes for the key-space traces: ordinary codes plus bytes
+/// that are not ASCII; two share a first byte, so the whole `u16` key counts.
+const COUNTRIES: [[u8; 2]; 4] = [*b"BR", *b"BO", *b"US", [0xff, 0x01]];
+
+/// A trace whose keys sit at the edges of their spaces: client ids and IPs
+/// near 0 and near `u32::MAX`, AS ids near both ends of `u16`, from small
+/// pools so clients repeat and one IP shows up under several ASes. The
+/// trace draws from `n_countries` countries and `n_objects` objects, so a
+/// single country or a single object occurs.
+fn arb_key_trace() -> impl Strategy<Value = Trace> {
+    let key = |lo: u32| prop_oneof![0..lo, (u32::MAX - lo)..=u32::MAX];
+    let raw = (
+        0u32..80_000,
+        0u32..5_000,
+        key(40),
+        key(60),
+        prop_oneof![0u16..6, (u16::MAX - 3)..=u16::MAX],
+        0usize..COUNTRIES.len(),
+        0u16..3,
+        0u64..10_000_000,
+    );
+    (
+        1usize..=COUNTRIES.len(),
+        1u16..=3,
+        prop::collection::vec(raw, 1..150),
+    )
+        .prop_map(|(n_countries, n_objects, raws)| {
+            let entries = raws
+                .into_iter()
+                .map(|(start, dur, client, ip, asn, country, obj, bytes)| {
+                    LogEntryBuilder::new()
+                        .span(start, dur)
+                        .client(ClientId(client))
+                        .origin(
+                            Ipv4Addr(ip),
+                            AsId(asn),
+                            CountryCode(COUNTRIES[country % n_countries]),
+                        )
+                        .object(ObjectId(obj % n_objects), 0)
+                        .transfer_stats(bytes, 34_000, 0.0)
+                        .build()
+                })
+                .collect();
+            Trace::from_entries(entries, 86_400)
+        })
+}
+
+/// The `HashSet` form of [`Trace::summary`], kept as its reference.
+fn reference_summary(trace: &Trace) -> TraceSummary {
+    let mut clients = HashSet::new();
+    let mut ips = HashSet::new();
+    let mut ases = HashSet::new();
+    let mut countries = HashSet::new();
+    let mut objects = HashSet::new();
+    let mut bytes: u64 = 0;
+    for e in trace.entries() {
+        clients.insert(e.client);
+        ips.insert(e.ip);
+        ases.insert(e.as_id);
+        countries.insert(e.country.0);
+        objects.insert(e.object);
+        bytes = bytes.saturating_add(e.bytes);
+    }
+    TraceSummary {
+        days: f64::from(trace.horizon()) / 86_400.0,
+        objects: objects.len(),
+        client_ases: ases.len(),
+        countries: countries.len(),
+        client_ips: ips.len(),
+        users: clients.len(),
+        transfers: trace.len(),
+        bytes,
+    }
+}
+
+/// The `BTreeMap` form of the per-client counts, kept as their reference:
+/// one count per client, in ascending client order.
+fn reference_counts(clients: impl Iterator<Item = ClientId>) -> Vec<u64> {
+    let mut counts: BTreeMap<ClientId, u64> = BTreeMap::new();
+    for c in clients {
+        *counts.entry(c).or_insert(0) += 1;
+    }
+    counts.into_values().collect()
+}
+
+/// Checks every sort-and-count aggregation against its reference.
+fn check_aggregations(trace: &Trace) {
+    prop_assert_eq!(trace.summary(), reference_summary(trace));
+    let sessions = Sessions::identify(trace, SessionConfig::default());
+    let transfers = reference_counts(trace.entries().iter().map(|e| e.client));
+    let per_session = reference_counts(sessions.all().iter().map(|s| s.client));
+    // Same order as the BTreeMap, so equal before ranking, not just after.
+    prop_assert_eq!(&transfer_counts_per_client(trace), &transfers);
+    prop_assert_eq!(&sessions.session_counts_per_client(), &per_session);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn aggregations_match_reference(trace in arb_key_trace()) {
+        check_aggregations(&trace);
+    }
 
     #[test]
     fn ltc_round_trip_exact(entries in prop::collection::vec(arb_any_entry(), 0..300)) {
@@ -245,5 +347,32 @@ proptest! {
         prop_assert!(s.client_ases <= s.client_ips.max(1));
         let per_client: u64 = transfer_counts_per_client(&trace).iter().sum();
         prop_assert_eq!(per_client as usize, n);
+    }
+}
+
+#[test]
+fn aggregations_match_reference_on_edge_traces() {
+    let entry = |client: u32, ip: u32, asn: u16, country: [u8; 2]| {
+        LogEntryBuilder::new()
+            .span(client % 7 * 100, 50)
+            .client(ClientId(client))
+            .origin(Ipv4Addr(ip), AsId(asn), CountryCode(country))
+            .object(ObjectId(0), 0)
+            .transfer_stats(1_000, 34_000, 0.0)
+            .build()
+    };
+    let traces = [
+        // One entry, at the top of every key space.
+        vec![entry(u32::MAX, u32::MAX, u16::MAX, *b"ZZ")],
+        // One IP under two ASes; ids at both ends of u32.
+        vec![
+            entry(0, u32::MAX, 1, *b"BR"),
+            entry(u32::MAX, u32::MAX, 2, *b"BR"),
+            entry(u32::MAX - 1, 0, 2, *b"US"),
+            entry(u32::MAX, 0, 1, *b"BR"),
+        ],
+    ];
+    for entries in traces {
+        check_aggregations(&Trace::from_entries(entries, 86_400));
     }
 }
